@@ -26,7 +26,7 @@
 // server is single-tenant and behaves exactly as before.
 //
 // Every smtserved is also a fleet worker: the /v1/work lease endpoints let a
-// cmd/smtfleet coordinator drive this process as one executor of a
+// "smtsweep -workers" coordinator drive this process as one executor of a
 // distributed campaign (no -store needed on workers — results flow back to
 // the coordinator's store). -max-leases bounds concurrently-held leases and
 // -lease-ttl caps how long an unrenewed lease is kept before its execution

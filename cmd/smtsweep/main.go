@@ -8,6 +8,7 @@
 // Usage:
 //
 //	smtsweep -spec spec.json -store DIR [-resume] [-parallelism N] [-quiet]
+//	         [-workers http://h1:8344,http://h2:8344 [-lease-size N] [-no-gzip]]
 //
 // The spec format is internal/campaign.Spec; the minimal useful spec is
 //
@@ -19,6 +20,18 @@
 // overlap is treated as an operator mistake and the sweep refuses to start.
 // Ctrl-C interrupts cleanly: everything finished so far stays in the store,
 // and a later -resume run completes the grid.
+//
+// With -workers the cells run on a fleet of remote smtserved workers
+// instead of the local engine, through their /v1/work endpoints (workers
+// need no flags beyond being up: "smtserved -addr :8344"). Leases are sized
+// adaptively to each worker's measured throughput unless -lease-size pins a
+// fixed size, and lease and result bodies travel gzip-compressed unless
+// -no-gzip. The fleet tolerates worker loss, re-dispatches straggling
+// leases and heartbeats long ones; results commit through the same path as
+// a local run, so the store comes out byte-identical either way, and an
+// interrupted fleet run resumes locally or remotely alike. A fleet run
+// prints one more line of lease and wire counters and, unless -quiet, one
+// line per worker.
 package main
 
 import (
@@ -30,10 +43,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"smtmlp"
 	"smtmlp/internal/campaign"
+	"smtmlp/internal/fleet"
 	"smtmlp/internal/obs"
 	"smtmlp/internal/store"
 )
@@ -50,8 +65,11 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) int {
 	specPath := fs.String("spec", "", `campaign spec file ("-" reads stdin)`)
 	storeDir := fs.String("store", "", "result store directory (created if missing)")
 	resume := fs.Bool("resume", false, "allow filling the gaps of a partially-run spec")
-	parallelism := fs.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	quiet := fs.Bool("quiet", false, "suppress per-result progress lines")
+	parallelism := fs.Int("parallelism", 0, "concurrent local simulations (0 = GOMAXPROCS)")
+	workers := fs.String("workers", "", "comma-separated smtserved worker base URLs (http://host:port) to run the cells on")
+	leaseSize := fs.Int("lease-size", 0, "with -workers: fixed cells per lease (0 = adaptive)")
+	noGzip := fs.Bool("no-gzip", false, "with -workers: send lease and result bodies uncompressed")
+	quiet := fs.Bool("quiet", false, "suppress progress and per-worker lines")
 	logFormat := fs.String("log-format", "text", "structured log format on stderr: text or json")
 	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn or error")
 	if err := fs.Parse(args); err != nil {
@@ -66,6 +84,16 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) int {
 	}
 	if *specPath == "" || *storeDir == "" {
 		fmt.Fprintln(errOut, "smtsweep: -spec and -store are required")
+		return 2
+	}
+	var urls []string
+	for _, w := range strings.Split(*workers, ",") {
+		if w = strings.TrimSpace(w); w != "" {
+			urls = append(urls, w)
+		}
+	}
+	if *workers != "" && len(urls) == 0 {
+		fmt.Fprintln(errOut, "smtsweep: -workers lists no worker URLs")
 		return 2
 	}
 
@@ -108,11 +136,22 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) int {
 		fmt.Fprintf(out, "progress: %d/%d done (%d cached, %d executed, %d failed)\n",
 			p.Skipped+p.Executed+p.Failed, p.Total, p.Skipped, p.Executed, p.Failed)
 	}
-	sum, runErr := campaign.Run(ctx, st, spec, campaign.Options{
+	opts := campaign.Options{
 		Parallelism: *parallelism,
 		Progress:    progress,
 		Logger:      logger,
-	})
+	}
+	var remote *fleet.Executor
+	if len(urls) > 0 {
+		remote = fleet.NewExecutor(fleet.Options{
+			Workers:       urls,
+			LeaseSize:     *leaseSize,
+			NoCompression: *noGzip,
+			Logger:        logger,
+		})
+		opts.Executor = remote
+	}
+	sum, runErr := campaign.Run(ctx, st, spec, opts)
 
 	name := sum.Name
 	if name == "" {
@@ -120,6 +159,18 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) int {
 	}
 	fmt.Fprintf(out, "%s: total=%d skipped=%d executed=%d failed=%d refs_seeded=%d refs_saved=%d\n",
 		name, sum.Total, sum.Skipped, sum.Executed, sum.Failed, sum.RefsSeeded, sum.RefsSaved)
+	if remote != nil {
+		fsum := remote.Summary()
+		fmt.Fprintf(out, "fleet: leases=%d renewed=%d retried=%d workers_lost=%d wire_out=%d/%d wire_in=%d/%d\n",
+			fsum.LeasesDispatched, fsum.LeasesRenewed, fsum.LeasesRetried, fsum.WorkersLost,
+			fsum.BytesOutWire, fsum.BytesOut, fsum.BytesInWire, fsum.BytesIn)
+		if !*quiet {
+			for _, ws := range fsum.Workers {
+				fmt.Fprintf(out, "worker %s: leases=%d cells=%d cells_per_sec=%.1f lease_size=%d peak_depth=%d\n",
+					ws.Worker, ws.Leases, ws.Cells, ws.CellsPerSec, ws.LeaseSize, ws.PeakDepth)
+			}
+		}
+	}
 
 	if runErr != nil {
 		if errors.Is(runErr, smtmlp.ErrCanceled) {

@@ -3,12 +3,17 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"sync"
 	"testing"
+
+	"smtmlp"
+	"smtmlp/internal/server"
 )
 
 // writeSpec drops a 12-cell campaign spec (2 policies x 3 workloads x
@@ -201,6 +206,165 @@ func TestSweepBadInputs(t *testing.T) {
 		var out, errOut bytes.Buffer
 		if code := run(context.Background(), args, &out, &errOut); code != 2 {
 			t.Fatalf("args %v exited %d, want 2", args, code)
+		}
+	}
+}
+
+// newWorker starts one in-process smtserved worker.
+func newWorker(t *testing.T) *httptest.Server {
+	t.Helper()
+	w := httptest.NewServer(server.New(smtmlp.NewEngine()))
+	t.Cleanup(w.Close)
+	return w
+}
+
+// TestFleetCLIEndToEnd drives the -workers path against two in-process
+// workers and byte-compares the store with a local run of the same spec.
+func TestFleetCLIEndToEnd(t *testing.T) {
+	specPath := writeSpec(t)
+	w1, w2 := newWorker(t), newWorker(t)
+
+	localDir := filepath.Join(t.TempDir(), "local")
+	var out, errOut bytes.Buffer
+	if code := run(context.Background(), []string{"-spec", specPath, "-store", localDir, "-quiet"},
+		&out, &errOut); code != 0 {
+		t.Fatalf("local run exited %d\nstderr: %s", code, errOut.String())
+	}
+
+	fleetDir := filepath.Join(t.TempDir(), "store")
+	out.Reset()
+	errOut.Reset()
+	code := run(context.Background(), []string{
+		"-spec", specPath, "-store", fleetDir,
+		"-workers", w1.URL + "," + w2.URL,
+		"-lease-size", "2",
+	}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("fleet run exited %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	}
+	total, skipped, executed, failed := parseSummary(t, out.String())
+	if total != 12 || skipped != 0 || executed != 12 || failed != 0 {
+		t.Fatalf("summary total=%d skipped=%d executed=%d failed=%d", total, skipped, executed, failed)
+	}
+	for _, want := range []string{"fleet: leases=6 ", "wire_out=", "worker " + w1.URL + ": leases=",
+		"config", "mem=200", "mem=500", "mlpflush", "ANTT"} {
+		if !bytes.Contains(out.Bytes(), []byte(want)) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	localResults, localRefs := storeFiles(t, localDir)
+	fleetResults, fleetRefs := storeFiles(t, fleetDir)
+	if !bytes.Equal(localResults, fleetResults) || !bytes.Equal(localRefs, fleetRefs) {
+		t.Fatalf("store differs between local and fleet execution:\nlocal:\n%s\nfleet:\n%s", localResults, fleetResults)
+	}
+
+	// Overlap without -resume is refused.
+	out.Reset()
+	errOut.Reset()
+	if code := run(context.Background(), []string{
+		"-spec", specPath, "-store", fleetDir, "-workers", w1.URL,
+	}, &out, &errOut); code == 0 {
+		t.Fatal("overlapping store accepted without -resume")
+	}
+
+	// -resume over the complete store is a no-op.
+	out.Reset()
+	errOut.Reset()
+	if code := run(context.Background(), []string{
+		"-spec", specPath, "-store", fleetDir, "-workers", w1.URL, "-resume",
+	}, &out, &errOut); code != 0 {
+		t.Fatalf("no-op resume exited %d\nstderr: %s", code, errOut.String())
+	}
+	if _, skipped, executed, _ := parseSummary(t, out.String()); skipped != 12 || executed != 0 {
+		t.Fatalf("no-op resume skipped=%d executed=%d", skipped, executed)
+	}
+}
+
+// TestFleetCLIQuietAndLogFlags pins the -quiet x -log-format contract under
+// -workers: -quiet silences the progress and per-worker lines on stdout but
+// leaves the structured stderr log stream alone, which -log-level controls
+// independently; a bad -log-format is a usage error.
+func TestFleetCLIQuietAndLogFlags(t *testing.T) {
+	specPath := writeSpec(t)
+	w := newWorker(t)
+
+	var out, errOut bytes.Buffer
+	code := run(context.Background(), []string{
+		"-spec", specPath, "-store", filepath.Join(t.TempDir(), "store"),
+		"-workers", w.URL, "-quiet", "-log-format", "json",
+	}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("fleet run exited %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	}
+	for _, noisy := range []string{"progress:", "worker "} {
+		if bytes.Contains(out.Bytes(), []byte(noisy)) {
+			t.Fatalf("-quiet run printed %q lines:\n%s", noisy, out.String())
+		}
+	}
+	if _, _, executed, _ := parseSummary(t, out.String()); executed != 12 {
+		t.Fatalf("summary line missing or wrong under -quiet:\n%s", out.String())
+	}
+	if !bytes.Contains(out.Bytes(), []byte("fleet: leases=")) {
+		t.Fatalf("fleet line missing under -quiet:\n%s", out.String())
+	}
+	var sawDispatch bool
+	for _, line := range bytes.Split(bytes.TrimSpace(errOut.Bytes()), []byte("\n")) {
+		var ll struct {
+			Msg        string `json:"msg"`
+			CampaignID string `json:"campaign_id"`
+			RequestID  string `json:"request_id"`
+		}
+		if err := json.Unmarshal(line, &ll); err != nil {
+			t.Fatalf("stderr line is not JSON under -log-format json: %s", line)
+		}
+		if ll.Msg == "lease dispatched" {
+			if ll.CampaignID == "" || ll.RequestID == "" {
+				t.Fatalf("dispatch log line lacks correlation IDs: %s", line)
+			}
+			sawDispatch = true
+		}
+	}
+	if !sawDispatch {
+		t.Fatalf("no 'lease dispatched' log line on stderr:\n%s", errOut.String())
+	}
+
+	// -log-level error silences the info-level lease lifecycle.
+	out.Reset()
+	errOut.Reset()
+	code = run(context.Background(), []string{
+		"-spec", specPath, "-store", filepath.Join(t.TempDir(), "store"),
+		"-workers", w.URL, "-quiet", "-log-format", "json", "-log-level", "error",
+	}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, errOut.String())
+	}
+	if bytes.Contains(errOut.Bytes(), []byte("lease dispatched")) {
+		t.Fatalf("-log-level error still logs info lines:\n%s", errOut.String())
+	}
+
+	// A bad format is a usage error before any work starts.
+	out.Reset()
+	errOut.Reset()
+	if code := run(context.Background(), []string{
+		"-spec", specPath, "-store", t.TempDir(), "-workers", w.URL,
+		"-log-format", "yaml",
+	}, &out, &errOut); code != 2 {
+		t.Fatalf("bad -log-format exited %d, want 2", code)
+	}
+}
+
+func TestFleetCLIBadInputs(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeSpec(t)
+	cases := [][]string{
+		{"-spec", spec, "-workers", "http://x"},                   // missing store
+		{"-spec", "/nonexistent", "-store", dir, "-workers", "x"}, // bad spec path
+		{"-spec", spec, "-store", dir, "-workers", " , "},         // empty worker list
+	}
+	for _, args := range cases {
+		var out, errOut bytes.Buffer
+		if code := run(context.Background(), args, &out, &errOut); code == 0 {
+			t.Fatalf("args %v exited 0", args)
 		}
 	}
 }

@@ -384,10 +384,10 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// TestMissingCellsAndPartition pins the distributed-execution work list: the
-// diff against the store preserves expansion order and indices, and
-// Partition chunks it contiguously without reordering.
-func TestMissingCellsAndPartition(t *testing.T) {
+// TestMissingCellsAndCarve pins the distributed-execution work list: the
+// diff against the store preserves expansion order and indices, and Carve
+// chunks it contiguously without reordering.
+func TestMissingCellsAndCarve(t *testing.T) {
 	spec := tinySpec()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -429,10 +429,15 @@ func TestMissingCellsAndPartition(t *testing.T) {
 		prev = c.Index
 	}
 
-	// Partition: contiguous chunks, order preserved, sizes at most 3.
-	chunks := Partition(cells, 3)
+	// Carve: contiguous chunks, order preserved, sizes at most 3.
+	var chunks [][]Cell
+	for lo := 0; lo < len(cells); {
+		chunk := Carve(cells, lo, 3)
+		chunks = append(chunks, chunk)
+		lo += len(chunk)
+	}
 	if len(chunks) != (len(cells)+2)/3 {
-		t.Fatalf("partition into %d chunks of %d cells", len(chunks), len(cells))
+		t.Fatalf("carved %d chunks of %d cells", len(chunks), len(cells))
 	}
 	flat := 0
 	for ci, chunk := range chunks {
@@ -441,18 +446,21 @@ func TestMissingCellsAndPartition(t *testing.T) {
 		}
 		for _, c := range chunk {
 			if c.Index != cells[flat].Index {
-				t.Fatalf("partition reordered cell %d", flat)
+				t.Fatalf("carving reordered cell %d", flat)
 			}
 			flat++
 		}
 	}
 	if flat != len(cells) {
-		t.Fatalf("partition covered %d of %d cells", flat, len(cells))
+		t.Fatalf("carving covered %d of %d cells", flat, len(cells))
 	}
-	if got := Partition(nil, 3); got != nil {
-		t.Fatalf("Partition(nil) = %v", got)
+	if got := Carve(cells, len(cells), 3); got != nil {
+		t.Fatalf("Carve past the end = %v", got)
 	}
-	if got := Partition(cells, 0); len(got) != 1 || len(got[0]) != len(cells) {
-		t.Fatalf("Partition(size=0) = %d chunks", len(got))
+	if got := Carve(cells, 1, 0); len(got) != len(cells)-1 {
+		t.Fatalf("Carve(size=0) took %d of the %d-cell tail", len(got), len(cells)-1)
+	}
+	if got := Carve(cells, len(cells)-1, 3); len(got) != 1 {
+		t.Fatalf("Carve at the tail clamped to %d cells, want 1", len(got))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"strings"
+	"sync"
 
 	"smtmlp"
 	"smtmlp/internal/metrics"
@@ -15,9 +16,10 @@ import (
 )
 
 // Cell is one unit of campaign work: a request, its content address, and its
-// position in the spec's deterministic expansion. The index is what lets a
-// distributed executor commit results in expansion order regardless of
-// completion order, which is the store byte-determinism contract.
+// position in the spec's deterministic expansion. Run hands an Executor the
+// missing cells in expansion order and commits their outcomes in that order
+// regardless of completion order, which is the store byte-determinism
+// contract.
 type Cell struct {
 	// Index is the cell's position in Spec.Requests' expansion.
 	Index int `json:"index"`
@@ -30,9 +32,8 @@ type Cell struct {
 
 // MissingCells expands the spec and diffs it against the store: it returns
 // the cells not yet persisted, in expansion order, along with the total
-// expansion size. This is the shared entry point of local execution (Run)
-// and distributed execution (internal/fleet): both operate on exactly this
-// work list, which is why their stores converge to the same bytes.
+// expansion size. Run hands exactly this work list to its Executor, local
+// or remote, which is why their stores converge to the same bytes.
 func MissingCells(st *store.Store, spec Spec) (missing []Cell, total int, err error) {
 	reqs, fps, err := spec.Requests()
 	if err != nil {
@@ -47,32 +48,11 @@ func MissingCells(st *store.Store, spec Spec) (missing []Cell, total int, err er
 	return missing, len(reqs), nil
 }
 
-// Partition splits cells into contiguous chunks of at most size cells each,
-// preserving expansion order (size <= 0 yields one chunk). Contiguity is
-// deliberate: a chunk's results commit as one batch, so chunks that follow
-// expansion order keep the merged store identical to serial execution.
-func Partition(cells []Cell, size int) [][]Cell {
-	if len(cells) == 0 {
-		return nil
-	}
-	if size <= 0 {
-		size = len(cells)
-	}
-	out := make([][]Cell, 0, (len(cells)+size-1)/size)
-	for lo := 0; lo < len(cells); {
-		chunk := Carve(cells, lo, size)
-		out = append(out, chunk)
-		lo += len(chunk)
-	}
-	return out
-}
-
 // Carve slices the next contiguous chunk of at most size cells starting at
-// offset lo, clamped to the tail of cells. It is the single primitive behind
-// both fixed-size partitioning and the fleet coordinator's adaptive sizing:
-// however chunk sizes are chosen, carving contiguously from the expansion
-// order keeps committed batches in expansion order and therefore the store
-// byte-identical to serial execution. Returns nil when lo is past the end.
+// offset lo, clamped to the tail of cells (size <= 0 takes the whole tail).
+// It is the fleet executor's chunking primitive: however chunk sizes are
+// chosen, carving contiguously from the expansion order keeps every chunk a
+// run of neighbouring cells. Returns nil when lo is past the end.
 func Carve(cells []Cell, lo, size int) []Cell {
 	if lo < 0 || lo >= len(cells) {
 		return nil
@@ -87,8 +67,44 @@ func Carve(cells []Cell, lo, size int) []Cell {
 	return cells[lo:hi:hi]
 }
 
+// Job is the work Run hands an Executor: the missing cells in expansion
+// order and the budget they were fingerprinted under.
+type Job struct {
+	Cells        []Cell
+	Instructions uint64
+	Warmup       uint64
+}
+
+// Outcome is one finished cell of a Job.
+type Outcome struct {
+	// Index is the cell's position in Job.Cells (not Cell.Index).
+	Index  int
+	Result smtmlp.WorkloadResult
+	// Err is a deterministic per-cell failure: the cell counts as failed and
+	// is not persisted. A cell stopped by cancellation is not an outcome; it
+	// is simply never reported.
+	Err error
+}
+
+// Executor runs a campaign's missing cells: the local engine pool (the
+// default) or a remote fleet (internal/fleet). It reports each finished
+// cell through report, in any order and in batches of any size; report is
+// safe for concurrent use and ignores cells already reported. Execute
+// returns the single-threaded reference profiles the cells used, also when
+// it stops early, and stops promptly once ctx is canceled.
+//
+// Executors never touch the store: Run orders, commits and counts every
+// outcome, so any executor yields the same store bytes.
+type Executor interface {
+	Execute(ctx context.Context, job Job, report func([]Outcome)) ([]smtmlp.RefProfile, error)
+}
+
 // Options tunes campaign execution.
 type Options struct {
+	// Executor runs the missing cells; nil runs them on a local engine
+	// configured by Cache, Parallelism and Gate, which a non-nil Executor
+	// ignores.
+	Executor Executor
 	// Cache shares an existing reference cache (e.g. a long-lived service
 	// engine's) with the campaign's engine; nil uses a private cache. Either
 	// way the cache is seeded from the store's persisted references before
@@ -101,8 +117,9 @@ type Options struct {
 	// reorders execution only; commits stay in submission order, so the
 	// store bytes are identical with or without a gate.
 	Gate smtmlp.SlotGate
-	// Progress, when set, is invoked after every cell is accounted for
-	// (persisted, skipped or failed). Calls are sequential.
+	// Progress, when set, is invoked once before execution and after every
+	// commit (each accounts for one or more persisted or failed cells).
+	// Calls are sequential.
 	Progress func(Progress)
 	// Logger receives structured campaign lifecycle logs (expansion size,
 	// completion). Nil discards.
@@ -131,23 +148,23 @@ type Summary struct {
 	// references were persisted back. CacheMisses counts reference
 	// simulations actually run by this campaign (0 on a fully warm-started
 	// store) — a delta, so a shared service cache's prior traffic does not
-	// leak in.
+	// leak in. RefsSeeded and CacheMisses count the local engine only.
 	RefsSeeded  int    `json:"refs_seeded"`
 	RefsSaved   int    `json:"refs_saved"`
 	CacheMisses uint64 `json:"cache_misses"`
 }
 
-// Run executes the spec against the store: expand, diff, execute only the
-// missing cells, and commit each finished result — in submission order — to
-// the store. The engine is built from the spec's budget (so fingerprints
-// and results always agree) and warm-started from the store's persisted
-// single-threaded references.
+// Run executes the spec against the store: expand, diff, hand only the
+// missing cells to the executor, and commit each finished result — in
+// submission order — to the store. The default local executor builds its
+// engine from the spec's budget (so fingerprints and results always agree)
+// and warm-starts it from the store's persisted single-threaded references.
 //
-// Cancellation is clean and resumable: on ctx cancellation the batch pool
-// drains, everything already committed stays committed, references computed
-// so far are persisted, and Run returns the partial Summary with an error
-// matching smtmlp.ErrCanceled (and context.Canceled). Because results are
-// committed strictly in submission order and the simulator is
+// Cancellation is clean and resumable: on ctx cancellation the executor
+// stops, everything already committed stays committed, the references
+// returned so far are persisted, and Run returns the partial Summary with
+// an error matching smtmlp.ErrCanceled (and context.Canceled). Because
+// results are committed strictly in submission order and the simulator is
 // deterministic, re-running the same spec after any interruption yields a
 // store byte-identical to an uninterrupted run.
 func Run(ctx context.Context, st *store.Store, spec Spec, opts Options) (Summary, error) {
@@ -171,43 +188,44 @@ func Run(ctx context.Context, st *store.Store, spec Spec, opts Options) (Summary
 	log.Info("campaign start",
 		"name", spec.Name, "total", total, "skipped", sum.Skipped, "missing", len(cells))
 
+	exec := opts.Executor
+	var local *engineExecutor
+	if exec == nil {
+		local = &engineExecutor{opts: opts, seed: st.Refs()}
+		exec = local
+	}
+	// Own cancel handle: if persisting fails mid-campaign the executor must
+	// stop too, or it would simulate the remaining grid into results nobody
+	// commits.
+	ectx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	c := &committer{st: st, cells: cells, sum: &sum, progress: opts.Progress,
+		stop: cancel, ready: make(map[int]Outcome)}
+	c.reportProgress()
+
 	instructions, warmup := spec.Params()
-	eng := smtmlp.NewEngine(
-		smtmlp.WithInstructions(instructions),
-		smtmlp.WithWarmup(warmup),
-		smtmlp.WithParallelism(opts.Parallelism),
-		smtmlp.WithCache(opts.Cache),
-		smtmlp.WithSlotGate(opts.Gate),
-	)
-	sum.RefsSeeded = eng.Cache().Seed(st.Refs())
-	_, missesBefore, _ := eng.Cache().Stats()
-
-	missing := make([]smtmlp.Request, len(cells))
-	missingFP := make([]string, len(cells))
-	for i, c := range cells {
-		missing[i] = c.Request
-		missingFP[i] = c.Fingerprint
-	}
-	report := func() {
-		if opts.Progress != nil {
-			opts.Progress(Progress{Total: sum.Total, Skipped: sum.Skipped,
-				Executed: sum.Executed, Failed: sum.Failed})
-		}
-	}
-	report()
-
-	var runErr error
-	if len(missing) > 0 {
-		runErr = execute(ctx, eng, st, missing, missingFP, &sum, report)
-	}
+	refs, runErr := exec.Execute(ectx, Job{Cells: cells, Instructions: instructions, Warmup: warmup}, c.report)
 
 	// Persist the references computed so far — also on cancellation, so the
 	// resumed run warm-starts from them.
-	saved, mergeErr := st.MergeRefs(eng.Cache().Export())
+	saved, mergeErr := st.MergeRefs(refs)
 	sum.RefsSaved = saved
-	_, missesAfter, _ := eng.Cache().Stats()
-	sum.CacheMisses = missesAfter - missesBefore
-	if runErr == nil {
+	if local != nil {
+		sum.RefsSeeded, sum.CacheMisses = local.seeded, local.misses
+	}
+	c.mu.Lock()
+	if c.err != nil {
+		runErr = c.err
+	}
+	unreported := len(cells) - c.next
+	c.mu.Unlock()
+	switch {
+	case runErr != nil:
+	case unreported > 0 && ctx.Err() != nil:
+		runErr = fmt.Errorf("campaign: %w: %w", smtmlp.ErrCanceled, ctx.Err())
+	case unreported > 0:
+		runErr = fmt.Errorf("campaign: executor stopped with %d cells unreported", unreported)
+	default:
 		runErr = mergeErr
 	}
 	if runErr != nil {
@@ -221,67 +239,113 @@ func Run(ctx context.Context, st *store.Store, spec Spec, opts Options) (Summary
 	return sum, runErr
 }
 
-// execute fans the missing cells over the engine's batch pool and commits
-// results in submission order via a reorder buffer. A deterministic
-// per-request failure is skipped (an uninterrupted run would skip it
-// identically); a cancellation stops the commit cursor entirely, because
-// cells behind the cursor must be re-executed for the store to stay a
-// prefix of the expansion order.
-func execute(ctx context.Context, eng *smtmlp.Engine, st *store.Store,
-	missing []smtmlp.Request, missingFP []string, sum *Summary, report func()) error {
-	// Own cancel handle: if persisting fails mid-campaign the batch must
-	// stop too, or the pool would simulate the whole remaining grid into
-	// results nobody commits.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	pending := make(map[int]smtmlp.BatchResult, len(missing))
-	next := 0
-	var canceled error
-	ch := eng.RunBatch(ctx, missing)
-	for br := range ch {
-		if br.Err != nil && errors.Is(br.Err, smtmlp.ErrCanceled) {
-			if canceled == nil {
-				canceled = br.Err
-			}
+// committer is the one commit path of every campaign, local or remote: a
+// reorder buffer that persists each contiguous run of finished cells at the
+// cursor with one store.AppendBatch. A deterministic per-cell failure is
+// skipped (an uninterrupted run would skip it identically); a cell that is
+// never reported stops the cursor for good, because cells behind it must be
+// re-executed for the store to stay a prefix of the expansion order.
+type committer struct {
+	st       *store.Store
+	cells    []Cell
+	sum      *Summary
+	progress func(Progress)
+	stop     context.CancelFunc
+
+	mu    sync.Mutex
+	ready map[int]Outcome // reported, awaiting the cursor
+	next  int             // cells [0, next) are accounted for
+	err   error           // first persistence failure; later reports are dropped
+}
+
+func (c *committer) report(outs []Outcome) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return
+	}
+	for _, o := range outs {
+		if o.Index < c.next || o.Index >= len(c.cells) {
 			continue
 		}
-		pending[br.Index] = br
-		for {
-			line, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if line.Err != nil {
-				sum.Failed++
-			} else {
-				// A concurrent campaign may have raced us to this cell; the
-				// deduplicating Append keeps the incumbent, and (the
-				// simulator being deterministic) the result is identical
-				// either way.
-				if _, err := st.Append(store.Record{
-					Fingerprint: missingFP[next],
-					Request:     line.Request,
-					Result:      line.Result,
-				}); err != nil {
-					// Stop the batch and drain it (cancellation makes the
-					// remaining requests fail fast) so no worker outlives
-					// the campaign simulating cells nobody will commit.
-					cancel()
-					for range ch {
-					}
-					return fmt.Errorf("campaign: persisting %s: %w", line.Request.Tag, err)
-				}
-				sum.Executed++
-			}
-			next++
-			report()
+		if _, dup := c.ready[o.Index]; !dup {
+			c.ready[o.Index] = o
 		}
 	}
-	if canceled != nil {
-		return canceled
+	var recs []store.Record
+	failed := 0
+	for {
+		o, ok := c.ready[c.next]
+		if !ok {
+			break
+		}
+		delete(c.ready, c.next)
+		if o.Err != nil {
+			failed++
+		} else {
+			cell := c.cells[c.next]
+			recs = append(recs, store.Record{Fingerprint: cell.Fingerprint, Request: cell.Request, Result: o.Result})
+		}
+		c.next++
 	}
-	return nil
+	if len(recs) == 0 && failed == 0 {
+		return
+	}
+	// A concurrent campaign may have raced us to a cell; the deduplicating
+	// append keeps the incumbent, and (the simulator being deterministic)
+	// the result is identical either way.
+	if _, err := c.st.AppendBatch(recs); err != nil {
+		c.err = fmt.Errorf("campaign: persisting %d results: %w", len(recs), err)
+		c.stop()
+		return
+	}
+	c.sum.Executed += len(recs)
+	c.sum.Failed += failed
+	// Under the lock on purpose: Progress calls must stay sequential and in
+	// commit order even when an executor reports from several goroutines.
+	c.reportProgress()
+}
+
+func (c *committer) reportProgress() {
+	if c.progress != nil {
+		c.progress(Progress{Total: c.sum.Total, Skipped: c.sum.Skipped,
+			Executed: c.sum.Executed, Failed: c.sum.Failed})
+	}
+}
+
+// engineExecutor is the default Executor: the cells fan out over a local
+// engine's batch pool, warm-started from the store's persisted references.
+type engineExecutor struct {
+	opts Options
+	seed []smtmlp.RefProfile
+	// Set by Execute for the summary.
+	seeded int
+	misses uint64
+}
+
+func (e *engineExecutor) Execute(ctx context.Context, job Job, report func([]Outcome)) ([]smtmlp.RefProfile, error) {
+	eng := smtmlp.NewEngine(
+		smtmlp.WithInstructions(job.Instructions),
+		smtmlp.WithWarmup(job.Warmup),
+		smtmlp.WithParallelism(e.opts.Parallelism),
+		smtmlp.WithCache(e.opts.Cache),
+		smtmlp.WithSlotGate(e.opts.Gate),
+	)
+	e.seeded = eng.Cache().Seed(e.seed)
+	_, missesBefore, _ := eng.Cache().Stats()
+	reqs := make([]smtmlp.Request, len(job.Cells))
+	for i, c := range job.Cells {
+		reqs[i] = c.Request
+	}
+	for br := range eng.RunBatch(ctx, reqs) {
+		if br.Err != nil && errors.Is(br.Err, smtmlp.ErrCanceled) {
+			continue
+		}
+		report([]Outcome{{Index: br.Index, Result: br.Result, Err: br.Err}})
+	}
+	_, missesAfter, _ := eng.Cache().Stats()
+	e.misses = missesAfter - missesBefore
+	return eng.Cache().Export(), nil
 }
 
 // SummaryRow aggregates one (configuration point, policy) cell of a
@@ -339,8 +403,7 @@ func Summarize(st *store.Store, spec Spec) ([]SummaryRow, error) {
 }
 
 // WriteSummaryTable renders the per-(config, policy) aggregate rows as an
-// aligned text table — the shared output format of cmd/smtsweep and
-// cmd/smtfleet.
+// aligned text table — cmd/smtsweep's output format.
 func WriteSummaryTable(out io.Writer, rows []SummaryRow) {
 	if len(rows) == 0 {
 		fmt.Fprintln(out, "no results to summarize")

@@ -1,47 +1,37 @@
-// Package fleet is the coordinator half of distributed campaign execution:
-// it expands a campaign spec, diffs it against the local authoritative
-// store, carves the missing cells into leases, and drives a set of remote
-// smtserved workers through the pull-based /v1/work protocol — POST
-// /v1/work/lease to deliver a batch, long-polling POST /v1/work/complete to
-// collect it.
+// Package fleet is the remote campaign.Executor: it carves a campaign's
+// missing cells into leases and drives a set of remote smtserved workers
+// through the pull-based /v1/work protocol — POST /v1/work/lease to deliver
+// a batch, long-polling POST /v1/work/complete to collect it — reporting
+// every collected cell back to campaign.Run, which alone orders and commits
+// results to the store.
 //
-// The design premise is that the store's content addressing does the hard
-// distributed-systems work. Every cell is identified by its campaign
-// fingerprint and the simulator is deterministic, so a lease that is
-// retried, double-delivered (a hedge against a straggler), or re-executed
-// after a worker dies produces byte-identical results, and the store's
-// dedupe-on-append absorbs every repeat. The coordinator therefore never
-// needs exactly-once delivery: at-least-once plus dedupe converges to the
-// same store bytes as single-node execution, which is the invariant the
-// package test proves.
+// The design premise is that content addressing and a deterministic
+// simulator do the hard distributed-systems work. Every cell is identified
+// by its campaign fingerprint, so a lease that is retried, double-delivered
+// (a hedge against a straggler), or re-executed after a worker dies
+// produces byte-identical results. The executor therefore never needs
+// exactly-once delivery: it reports each chunk the first time it is
+// collected and drops later copies, and campaign.Run's commit path — the
+// same one local execution uses — makes the store byte-identical to a
+// single-node run by construction.
 //
-// Throughput: the coordinator applies the paper's resource-allocation
-// insight one level up — size each worker's outstanding work to its
-// measured ability to retire it. Each driver keeps a cells/sec EWMA over
-// its completed leases and carves the next lease to a target wall-time
+// Throughput: the executor applies the paper's resource-allocation insight
+// one level up — size each worker's outstanding work to its measured
+// ability to retire it. Each driver keeps a cells/sec EWMA over its
+// completed leases and carves the next lease to a target wall-time
 // (clamped), so a fast worker gets proportionally more cells per round
 // trip than a slow one instead of lockstep chunks. Drivers are also
 // pipelined: up to PipelineDepth leases are in flight per worker, so lease
 // N+1 is already executing while lease N is long-polled, eliminating the
-// idle gap between leases. Wire bodies are gzip-compressed when the worker
-// advertises support (X-Work-Gzip response header; plain JSON first
-// request learns the capability), and complete responses are streamed as
-// NDJSON when the worker speaks it — both degrade transparently against
-// old servers.
-//
-// Ordering: chunks are contiguous slices of the expansion-ordered missing
-// cells, carved in chunk-index order, and a reorder buffer commits them
-// strictly in that order (each chunk as one store.AppendBatch), mirroring
-// how campaign.Run commits in submission order. Adaptive sizing only
-// changes where the chunk boundaries fall, never their order, so
-// results.ndjson and refs.ndjson both come out byte-identical to a local
-// run of the same spec.
+// idle gap between leases. Request bodies are gzip-compressed and responses
+// requested gzip-encoded (unless NoCompression), and complete responses are
+// streamed as NDJSON when the worker speaks it.
 //
 // Failure handling: a worker that stops answering is probed with
 // exponential backoff and, if still unreachable, declared lost — its
 // in-flight chunks are requeued to the survivors. Leases carry a TTL so a
 // worker never pins memory for a dead coordinator, and drivers heartbeat
-// every active lease (an idempotent cells-free re-POST) at TTL/3 so a
+// every active lease (an idempotent cells-free re-POST) at TTL/4 so a
 // slow-but-alive worker is never cancelled mid-execution; an expired or
 // canceled lease is simply re-dispatched. When every worker is lost the
 // run fails, keeping everything committed so far (a later -resume fills
@@ -74,9 +64,8 @@ import (
 
 // Defaults for Options fields left zero.
 const (
-	// DefaultLeaseSize seeds adaptive sizing (the first lease to a worker
-	// with no throughput sample yet) and remains the fixed size used by
-	// legacy callers that set LeaseSize explicitly.
+	// DefaultLeaseSize seeds adaptive sizing: the first lease to a worker
+	// with no throughput sample yet.
 	DefaultLeaseSize     = 8
 	DefaultLeaseTTL      = 2 * time.Minute
 	DefaultLeaseTarget   = 2 * time.Second
@@ -104,15 +93,13 @@ type Options struct {
 	Workers []string
 	// LeaseSize fixes the number of cells per lease. 0 (the default) means
 	// adaptive: each lease is sized from the worker's cells/sec EWMA to
-	// take about LeaseTarget of wall time, clamped to
-	// [MinLeaseSize, MaxLeaseSize].
+	// take about LeaseTarget of wall time, clamped to [1, MaxLeaseSize].
 	LeaseSize int
 	// LeaseTarget is the wall time an adaptive lease aims for
 	// (0 = DefaultLeaseTarget). Ignored when LeaseSize > 0.
 	LeaseTarget time.Duration
-	// MinLeaseSize and MaxLeaseSize clamp adaptive sizing
-	// (0 = 1 and DefaultMaxLeaseSize). Ignored when LeaseSize > 0.
-	MinLeaseSize int
+	// MaxLeaseSize caps adaptive sizing (0 = DefaultMaxLeaseSize). Ignored
+	// when LeaseSize > 0.
 	MaxLeaseSize int
 	// PipelineDepth bounds leases in flight per worker
 	// (0 = DefaultPipelineDepth; 1 restores serial dispatch). Keep it at or
@@ -136,8 +123,9 @@ type Options struct {
 	ProbeRetries int
 	ProbeBackoff time.Duration
 	// StragglerAfter enables hedged re-dispatch: an idle driver re-delivers
-	// the oldest chunk that has been in flight longer than this (the store
-	// dedupes whichever copy loses). 0 = DefaultStraggler; negative disables.
+	// the oldest chunk that has been in flight longer than this (whichever
+	// copy is collected second is dropped). 0 = DefaultStraggler; negative
+	// disables.
 	StragglerAfter time.Duration
 	// NoCompression disables gzip on /v1/work bodies in both directions
 	// (requests are sent plain and responses requested identity-encoded).
@@ -146,14 +134,9 @@ type Options struct {
 	// Client is the HTTP client (nil = a fresh http.Client). Do not set a
 	// global timeout shorter than CompleteWait: collection long-polls.
 	Client *http.Client
-	// Progress, when set, is invoked after every committed chunk. Calls are
-	// sequential.
-	Progress func(campaign.Progress)
-	// Eventf, when set, receives human-readable fleet events (worker lost,
-	// lease retried, hedged re-dispatch). Calls are serialized.
-	Eventf func(format string, args ...any)
-	// Logger receives structured lease-lifecycle logs (dispatch, renew,
-	// collect, retry). Every line carries the run's campaign_id plus the
+	// Logger receives structured fleet logs: the lease lifecycle (dispatch,
+	// renew, collect, retry, hedge) and worker health (unreachable,
+	// recovered, lost). Lease lines carry the run's campaign_id plus the
 	// per-delivery request_id that also travels to the worker in the
 	// X-Request-Id header, so coordinator and worker logs join on the same
 	// values. Nil discards everything.
@@ -175,20 +158,10 @@ type WorkerStats struct {
 	PeakDepth int `json:"peak_depth"`
 }
 
-// Summary reports a finished (or failed) fleet run.
+// Summary reports a finished (or failed) fleet run: the campaign's own
+// summary plus the fleet's lease and wire counters.
 type Summary struct {
-	Name string `json:"name,omitempty"`
-	// Total is the grid size; Skipped cells were already in the store;
-	// Executed cells ran remotely and were committed; Failed cells failed
-	// deterministically on a worker (not persisted, exactly like local
-	// execution skips them).
-	Total    int `json:"total"`
-	Skipped  int `json:"skipped"`
-	Executed int `json:"executed"`
-	Failed   int `json:"failed"`
-	// Duplicates counts result cells absorbed by dedupe (hedged leases,
-	// re-deliveries after a lost collection, races with other writers).
-	Duplicates int `json:"duplicates"`
+	campaign.Summary
 	// LeasesDispatched counts every lease delivery, including hedges and
 	// retries; LeasesRenewed counts heartbeat re-POSTs that extended a
 	// lease TTL; LeasesRetried counts chunks requeued after a lost,
@@ -198,11 +171,9 @@ type Summary struct {
 	LeasesRenewed    int `json:"leases_renewed"`
 	LeasesRetried    int `json:"leases_retried"`
 	WorkersLost      int `json:"workers_lost"`
-	// RefsMerged counts reference profiles newly persisted to the store.
-	RefsMerged int `json:"refs_merged"`
 	// Wire accounting for /v1/work traffic: BytesOut/BytesIn are JSON
 	// payload bytes sent/received, BytesOutWire/BytesInWire what actually
-	// crossed the wire (smaller when gzip was negotiated).
+	// crossed the wire (smaller under gzip).
 	BytesOut     int64 `json:"bytes_out"`
 	BytesOutWire int64 `json:"bytes_out_wire"`
 	BytesIn      int64 `json:"bytes_in"`
@@ -211,27 +182,33 @@ type Summary struct {
 	Workers []WorkerStats `json:"workers,omitempty"`
 }
 
-// Run executes the spec's missing cells across the workers and commits the
-// results to the local store. On return the store holds everything that
+// Run executes the spec's missing cells across the workers: campaign.Run
+// with this package's Executor. On return the store holds everything that
 // committed — also on failure or cancellation, so re-running (or falling
-// back to local cmd/smtsweep -resume) completes the grid. The returned
-// error matches smtmlp.ErrCanceled when ctx was canceled.
+// back to a local smtsweep -resume) completes the grid. The returned error
+// matches smtmlp.ErrCanceled when ctx was canceled.
 func Run(ctx context.Context, st *store.Store, spec campaign.Spec, opts Options) (Summary, error) {
-	sum := Summary{Name: spec.Name}
-	if len(opts.Workers) == 0 {
-		return sum, errors.New("fleet: no workers")
-	}
+	ex := NewExecutor(opts)
+	csum, err := campaign.Run(ctx, st, spec, campaign.Options{Executor: ex, Logger: opts.Logger})
+	sum := ex.Summary()
+	sum.Summary = csum
+	return sum, err
+}
+
+// Executor is the remote campaign.Executor. Build it with NewExecutor; one
+// Executor runs one Execute at a time.
+type Executor struct {
+	opts Options
+	sum  Summary
+}
+
+// NewExecutor applies the Options defaults.
+func NewExecutor(opts Options) *Executor {
 	if opts.LeaseTarget <= 0 {
 		opts.LeaseTarget = DefaultLeaseTarget
 	}
-	if opts.MinLeaseSize <= 0 {
-		opts.MinLeaseSize = 1
-	}
 	if opts.MaxLeaseSize <= 0 {
 		opts.MaxLeaseSize = DefaultMaxLeaseSize
-	}
-	if opts.MaxLeaseSize < opts.MinLeaseSize {
-		opts.MaxLeaseSize = opts.MinLeaseSize
 	}
 	if opts.PipelineDepth <= 0 {
 		opts.PipelineDepth = DefaultPipelineDepth
@@ -257,54 +234,54 @@ func Run(ctx context.Context, st *store.Store, spec campaign.Spec, opts Options)
 	if opts.Client == nil {
 		opts.Client = &http.Client{}
 	}
+	if opts.Logger == nil {
+		opts.Logger = obs.Discard()
+	}
+	return &Executor{opts: opts}
+}
 
-	cells, total, err := campaign.MissingCells(st, spec)
-	if err != nil {
-		return sum, err
-	}
-	sum.Total = total
-	sum.Skipped = total - len(cells)
-	if opts.Progress != nil {
-		opts.Progress(campaign.Progress{Total: sum.Total, Skipped: sum.Skipped})
-	}
-	if len(cells) == 0 {
-		return sum, nil
-	}
+// Summary returns the fleet counters of the last Execute; its embedded
+// campaign.Summary is left zero (campaign.Run returns that one).
+func (e *Executor) Summary() Summary { return e.sum }
 
-	instructions, warmup := spec.Params()
+// Execute leases the job's cells to the workers and reports each chunk's
+// outcomes the first time the chunk is collected. It returns the reference
+// profiles the collected leases carried, and an error when the fleet
+// failed: every worker lost, a chunk out of attempts, or a worker refusing
+// a lease outright.
+func (e *Executor) Execute(ctx context.Context, job campaign.Job, report func([]campaign.Outcome)) ([]smtmlp.RefProfile, error) {
+	e.sum = Summary{}
+	if len(e.opts.Workers) == 0 {
+		return nil, errors.New("fleet: no workers")
+	}
+	if len(job.Cells) == 0 {
+		return nil, nil
+	}
 	runID := newRunID()
-	logger := opts.Logger
-	if logger == nil {
-		logger = obs.Discard()
-	}
 	c := &coord{
-		st:           st,
-		cells:        cells,
-		instructions: instructions,
-		warmup:       warmup,
-		opts:         opts,
-		runID:        runID,
-		log:          logger.With(obs.KeyCampaignID, runID),
-		inflight:     make(map[int]*flight),
-		finished:     make(map[int][]server.WorkResult),
-		refs:         make(map[string]smtmlp.RefProfile),
-		sum:          &sum,
-		live:         len(opts.Workers),
-		done:         make(chan struct{}),
+		job:      job,
+		opts:     e.opts,
+		runID:    runID,
+		log:      e.opts.Logger.With(obs.KeyCampaignID, runID),
+		report:   report,
+		inflight: make(map[int]*flight),
+		sum:      &e.sum,
+		live:     len(e.opts.Workers),
+		done:     make(chan struct{}),
 	}
 
-	bootstrap := opts.LeaseSize
+	bootstrap := e.opts.LeaseSize
 	if bootstrap <= 0 {
-		bootstrap = clamp(DefaultLeaseSize, opts.MinLeaseSize, opts.MaxLeaseSize)
+		bootstrap = min(DefaultLeaseSize, e.opts.MaxLeaseSize)
 	}
-	workers := make([]*workerState, len(opts.Workers))
-	for i, w := range opts.Workers {
+	workers := make([]*workerState, len(e.opts.Workers))
+	for i, w := range e.opts.Workers {
 		workers[i] = &workerState{base: strings.TrimRight(w, "/"), size: bootstrap}
 	}
 
 	// Drivers get a context canceled the moment the run ends (all chunks
-	// committed, or failed), so in-flight hedge duplicates stop promptly
-	// instead of long-polling a result nobody will commit.
+	// collected, or failed), so in-flight hedge duplicates stop promptly
+	// instead of long-polling a result nobody will use.
 	dctx, dcancel := context.WithCancel(ctx)
 	defer dcancel()
 	go func() {
@@ -325,64 +302,29 @@ func Run(ctx context.Context, st *store.Store, spec campaign.Spec, opts Options)
 	}
 	wg.Wait()
 
-	// Persist the reference profiles gathered so far — also on failure, so
-	// the next attempt warm-starts from them.
-	refs := make([]smtmlp.RefProfile, 0, len(c.refs))
-	for _, r := range c.refs {
-		refs = append(refs, r)
-	}
-	saved, mergeErr := st.MergeRefs(refs)
-	sum.RefsMerged = saved
-
-	sum.LeasesRenewed = int(c.renewed.Load())
-	sum.BytesOut = c.bytesOut.Load()
-	sum.BytesOutWire = c.bytesOutWire.Load()
-	sum.BytesIn = c.bytesIn.Load()
-	sum.BytesInWire = c.bytesInWire.Load()
-	sum.Workers = make([]WorkerStats, len(workers))
+	e.sum.LeasesRenewed = int(c.renewed.Load())
+	e.sum.BytesOut = c.bytesOut.Load()
+	e.sum.BytesOutWire = c.bytesOutWire.Load()
+	e.sum.BytesIn = c.bytesIn.Load()
+	e.sum.BytesInWire = c.bytesInWire.Load()
+	e.sum.Workers = make([]WorkerStats, len(workers))
 	for i, ws := range workers {
-		sum.Workers[i] = WorkerStats{
+		e.sum.Workers[i] = WorkerStats{
 			Worker: ws.base, Leases: ws.leases, Cells: ws.cellsDone,
 			CellsPerSec: ws.ewma, LeaseSize: ws.size, PeakDepth: ws.peak,
 		}
 	}
-
 	c.mu.Lock()
-	runErr := c.runErr
-	complete := c.next == len(c.chunks) && c.carve == len(c.cells)
-	remaining := len(c.chunks) - c.next + (len(c.cells) - c.carve)
-	c.mu.Unlock()
-	if runErr == nil && !complete {
-		if ctx.Err() != nil {
-			runErr = fmt.Errorf("fleet: %w", smtmlp.ErrCanceled)
-		} else {
-			runErr = fmt.Errorf("fleet: run stopped with work for %d chunks/cells uncommitted", remaining)
-		}
-	}
-	if runErr == nil {
-		runErr = mergeErr
-	}
-	return sum, runErr
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	defer c.mu.Unlock()
+	return c.refs, c.runErr
 }
 
 // workerState is one driver's private view of its worker: the throughput
-// EWMA behind adaptive sizing, the negotiated wire capabilities, and
-// pipeline accounting. Only its own driver goroutine mutates it (claim
-// reads size under c.mu, but claim is only ever called by that driver);
-// Run reads it after all drivers exit.
+// EWMA behind adaptive sizing, and pipeline accounting. Only its own driver
+// goroutine mutates it (claim reads size under c.mu, but claim is only ever
+// called by that driver); Execute reads it after all drivers exit.
 type workerState struct {
 	base      string
-	gzipOK    bool    // worker advertised X-Work-Gzip: request bodies may compress
 	ewma      float64 // cells/sec, 0 until the first completed lease
 	size      int     // next adaptive lease size (fixed size under LeaseSize>0)
 	leases    int
@@ -414,7 +356,7 @@ func (c *coord) observe(ws *workerState, al *activeLease) {
 		return
 	}
 	c.mu.Lock()
-	ws.size = clamp(int(ws.ewma*c.opts.LeaseTarget.Seconds()+0.5), c.opts.MinLeaseSize, c.opts.MaxLeaseSize)
+	ws.size = min(max(int(ws.ewma*c.opts.LeaseTarget.Seconds()+0.5), 1), c.opts.MaxLeaseSize)
 	c.mu.Unlock()
 }
 
@@ -424,42 +366,38 @@ type flight struct {
 	holders map[*workerState]bool
 }
 
-// span is one chunk's contiguous cell range: c.cells[lo:hi].
+// span is one chunk's contiguous cell range: c.job.Cells[lo:hi].
 type span struct{ lo, hi int }
 
-// coord is the shared state of one fleet run.
+// coord is the shared state of one Execute.
 type coord struct {
-	st           *store.Store
-	cells        []campaign.Cell
-	instructions uint64
-	warmup       uint64
-	opts         Options
-	runID        string
-	log          *slog.Logger // always bound to campaign_id = runID
+	job    campaign.Job
+	opts   Options
+	runID  string
+	log    *slog.Logger // always bound to campaign_id = runID
+	report func([]campaign.Outcome)
 
-	mu       sync.Mutex
-	carve    int    // cells [0, carve) have been carved into chunks
-	chunks   []span // carved chunks, in expansion order; grows during the run
-	queue    []int  // chunk indexes awaiting re-dispatch, FIFO
-	attempts []int  // lease deliveries per chunk
-	inflight map[int]*flight
-	finished map[int][]server.WorkResult // collected, awaiting the cursor
-	next     int                         // commit cursor: chunks [0, next) are in the store
-	refs     map[string]smtmlp.RefProfile
-	sum      *Summary
-	live     int
-	runErr   error
-	closed   bool
-	seq      int
-	done     chan struct{}
+	mu         sync.Mutex
+	carve      int    // cells [0, carve) have been carved into chunks
+	chunks     []span // carved chunks, in expansion order; grows during the run
+	queue      []int  // chunk indexes awaiting re-dispatch, FIFO
+	attempts   []int  // lease deliveries per chunk
+	collected  []bool // per chunk: outcomes reported; later copies are dropped
+	ncollected int
+	inflight   map[int]*flight
+	refs       []smtmlp.RefProfile // from every reported lease, duplicates included
+	sum        *Summary
+	live       int
+	runErr     error
+	closed     bool
+	seq        int
+	done       chan struct{}
 
 	renewed      atomic.Int64
 	bytesOut     atomic.Int64 // JSON request bytes
 	bytesOutWire atomic.Int64 // request bytes on the wire
 	bytesIn      atomic.Int64 // JSON response bytes
 	bytesInWire  atomic.Int64 // response bytes on the wire
-
-	eventMu sync.Mutex
 }
 
 func newRunID() string {
@@ -468,15 +406,6 @@ func newRunID() string {
 		return "fleet"
 	}
 	return hex.EncodeToString(b[:])
-}
-
-func (c *coord) eventf(format string, args ...any) {
-	if c.opts.Eventf == nil {
-		return
-	}
-	c.eventMu.Lock()
-	defer c.eventMu.Unlock()
-	c.opts.Eventf(format, args...)
 }
 
 // claim hands the worker its next chunk: a requeued chunk from the head of
@@ -498,11 +427,12 @@ func (c *coord) claim(ws *workerState) (idx int, cells []campaign.Cell, leaseID 
 	case len(c.queue) > 0:
 		idx = c.queue[0]
 		c.queue = c.queue[1:]
-	case c.carve < len(c.cells):
-		chunk := campaign.Carve(c.cells, c.carve, ws.size)
+	case c.carve < len(c.job.Cells):
+		chunk := campaign.Carve(c.job.Cells, c.carve, ws.size)
 		idx = len(c.chunks)
 		c.chunks = append(c.chunks, span{c.carve, c.carve + len(chunk)})
 		c.attempts = append(c.attempts, 0)
+		c.collected = append(c.collected, false)
 		c.carve += len(chunk)
 	default:
 		if c.opts.StragglerAfter < 0 {
@@ -534,17 +464,18 @@ func (c *coord) claim(ws *workerState) (idx int, cells []campaign.Cell, leaseID 
 	leaseID = fmt.Sprintf("%s-%d.%d", c.runID, idx, c.seq)
 	c.sum.LeasesDispatched++
 	sp := c.chunks[idx]
-	cells = c.cells[sp.lo:sp.hi:sp.hi]
+	cells = c.job.Cells[sp.lo:sp.hi:sp.hi]
 	if hedged {
-		go c.eventf("fleet: hedging straggler chunk %d on %s as lease %s", idx, ws.base, leaseID)
+		c.log.Info("hedging straggler chunk", "chunk", idx, "worker", ws.base, obs.KeyLeaseID, leaseID)
 	}
 	return idx, cells, leaseID, true
 }
 
 // release drops the worker's hold on a chunk that did not complete. If no
-// hedge partner still holds it and it is not already committed, the chunk
-// goes back to the front of the queue (front, so the commit cursor unblocks
-// as soon as possible); a chunk that exhausted its attempts fails the run.
+// hedge partner still holds it and it is not already collected, the chunk
+// goes back to the front of the queue (front, so the campaign's commit
+// cursor unblocks as soon as possible); a chunk that exhausted its attempts
+// fails the run.
 func (c *coord) release(idx int, ws *workerState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -555,8 +486,8 @@ func (c *coord) release(idx int, ws *workerState) {
 		}
 		delete(f.holders, ws)
 	}
-	if idx < c.next || c.finished[idx] != nil {
-		return // already collected elsewhere
+	if c.collected[idx] {
+		return // a hedge partner delivered it
 	}
 	if f != nil && len(f.holders) > 0 {
 		return // a hedge partner is still running it
@@ -570,80 +501,76 @@ func (c *coord) release(idx int, ws *workerState) {
 	c.sum.LeasesRetried++
 }
 
-// overtaken reports whether a chunk has already been collected or committed
-// (a hedge partner won); drivers use it to abandon a redundant lease
-// instead of polling and renewing it to completion.
+// overtaken reports whether a hedge partner already delivered the chunk;
+// drivers use it to abandon a redundant lease instead of polling and
+// renewing it to completion.
 func (c *coord) overtaken(idx int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return idx < c.next || c.finished[idx] != nil
+	return c.collected[idx]
 }
 
-// finish records a collected lease and advances the commit cursor. A chunk
-// already collected (a hedge or re-delivery landing second) is discarded —
-// the store would have deduplicated it anyway; discarding just skips the
-// no-op write.
-func (c *coord) finish(idx int, ws *workerState, results []server.WorkResult, refs []smtmlp.RefProfile) {
+// collect reports a collected lease's outcomes to the campaign, the first
+// time its chunk is collected; a hedge or re-delivery landing second is
+// dropped. Reporting happens outside the lock: campaign.Run serializes its
+// own commits.
+func (c *coord) collect(idx int, ws *workerState, resp *server.CompleteResponse) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if f := c.inflight[idx]; f != nil {
 		delete(f.holders, ws)
 		if len(f.holders) == 0 {
 			delete(c.inflight, idx)
 		}
 	}
-	if idx < c.next || c.finished[idx] != nil {
-		c.sum.Duplicates += len(results)
+	if c.collected[idx] {
+		c.mu.Unlock()
 		return
 	}
-	c.finished[idx] = results
-	for _, r := range refs {
-		if _, ok := c.refs[r.Key]; !ok {
-			c.refs[r.Key] = r
-		}
+	sp := c.chunks[idx]
+	outs, err := outcomes(c.job.Cells[sp.lo:sp.hi], sp.lo, resp.Results)
+	if err != nil {
+		c.closeLocked(fmt.Errorf("fleet: worker %s, chunk %d: %w", ws.base, idx, err))
+		c.mu.Unlock()
+		return
 	}
-	c.advanceLocked()
-}
-
-// advanceLocked commits every consecutive finished chunk at the cursor, each
-// as one atomic batch append, preserving expansion order end to end.
-func (c *coord) advanceLocked() {
-	for {
-		results, ok := c.finished[c.next]
-		if !ok {
-			break
-		}
-		delete(c.finished, c.next)
-		recs := make([]store.Record, 0, len(results))
-		failed := 0
-		for _, wr := range results {
-			if wr.Error != "" || wr.Result == nil {
-				failed++
-				continue
-			}
-			recs = append(recs, store.Record{
-				Fingerprint: wr.Fingerprint,
-				Request:     wr.Request,
-				Result:      *wr.Result,
-			})
-		}
-		fresh, err := c.st.AppendBatch(recs)
-		if err != nil {
-			c.closeLocked(fmt.Errorf("fleet: persisting chunk %d: %w", c.next, err))
-			return
-		}
-		c.sum.Executed += len(recs)
-		c.sum.Duplicates += len(recs) - fresh
-		c.sum.Failed += failed
-		c.next++
-		if c.opts.Progress != nil {
-			c.opts.Progress(campaign.Progress{Total: c.sum.Total, Skipped: c.sum.Skipped,
-				Executed: c.sum.Executed, Failed: c.sum.Failed})
-		}
-	}
-	if c.next == len(c.chunks) && c.carve == len(c.cells) {
+	c.collected[idx] = true
+	c.ncollected++
+	c.refs = append(c.refs, resp.Refs...)
+	if !c.pendingLocked() {
 		c.closeLocked(nil)
 	}
+	c.mu.Unlock()
+	c.report(outs)
+}
+
+// outcomes maps a lease's results, which workers return in cell order, onto
+// the chunk's positions in the job (the chunk starts at position lo).
+func outcomes(chunk []campaign.Cell, lo int, results []server.WorkResult) ([]campaign.Outcome, error) {
+	if len(results) != len(chunk) {
+		return nil, fmt.Errorf("%d results for a %d-cell lease", len(results), len(chunk))
+	}
+	outs := make([]campaign.Outcome, len(results))
+	for i, wr := range results {
+		if wr.Fingerprint != chunk[i].Fingerprint {
+			return nil, fmt.Errorf("result %d has fingerprint %s, leased %s", i, wr.Fingerprint, chunk[i].Fingerprint)
+		}
+		outs[i].Index = lo + i
+		switch {
+		case wr.Error != "":
+			outs[i].Err = errors.New(wr.Error)
+		case wr.Result == nil:
+			outs[i].Err = errors.New("worker returned neither a result nor an error")
+		default:
+			outs[i].Result = *wr.Result
+		}
+	}
+	return outs, nil
+}
+
+// pendingLocked reports whether any cell is still uncarved or any chunk
+// uncollected.
+func (c *coord) pendingLocked() bool {
+	return c.carve < len(c.job.Cells) || c.ncollected < len(c.chunks)
 }
 
 // closeLocked ends the run (idempotently), keeping the first error.
@@ -671,8 +598,8 @@ func (c *coord) loseWorker(ws *workerState) {
 	defer c.mu.Unlock()
 	c.sum.WorkersLost++
 	c.live--
-	if c.live == 0 && (c.next < len(c.chunks) || c.carve < len(c.cells)) {
-		c.closeLocked(fmt.Errorf("fleet: all %d workers lost with work uncommitted", len(c.opts.Workers)))
+	if c.live == 0 && c.pendingLocked() {
+		c.closeLocked(fmt.Errorf("fleet: all %d workers lost with work outstanding", len(c.opts.Workers)))
 	}
 }
 
@@ -726,18 +653,15 @@ func (c *coord) driver(ctx context.Context, ws *workerState) {
 		case ctx.Err() != nil:
 			return false
 		case errors.Is(err, errLeaseLost):
-			c.eventf("fleet: %v; requeued chunk %d", err, idx)
 			c.log.Warn("lease lost; chunk requeued", "chunk", idx, "worker", ws.base, "err", err)
 			return c.sleep(ctx, idlePoll)
 		case errors.As(err, &te):
-			c.eventf("fleet: worker %s unreachable (%v); probing", ws.base, te.err)
 			if !c.probe(ctx, ws.base) {
-				c.eventf("fleet: worker %s lost; its chunks requeue to survivors", ws.base)
 				c.log.Warn("worker lost", "worker", ws.base, "err", te.err)
 				c.loseWorker(ws)
 				return false
 			}
-			c.eventf("fleet: worker %s recovered", ws.base)
+			c.log.Info("worker recovered", "worker", ws.base, "err", te.err)
 			return true
 		default:
 			// A protocol-level rejection (validation, version skew): every
@@ -811,7 +735,7 @@ func (c *coord) driver(ctx context.Context, ws *workerState) {
 
 		// Long-poll the pipeline head.
 		head := act[0]
-		out, done, err := c.pollLease(ctx, ws, head, wait)
+		resp, err := c.pollLease(ctx, ws, head, wait)
 		switch {
 		case err != nil:
 			act = act[1:]
@@ -819,8 +743,8 @@ func (c *coord) driver(ctx context.Context, ws *workerState) {
 			if !recoverLease(head.idx, err) {
 				return
 			}
-		case done:
-			c.finish(head.idx, ws, out.results, out.refs)
+		case resp != nil:
+			c.collect(head.idx, ws, resp)
 			c.observe(ws, head)
 			c.log.Info("lease collected",
 				obs.KeyLeaseID, head.leaseID, obs.KeyRequestID, head.requestID,
@@ -849,12 +773,6 @@ func (c *coord) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// leaseOut is a collected lease.
-type leaseOut struct {
-	results []server.WorkResult
-	refs    []smtmlp.RefProfile
-}
-
 // sendLease delivers one chunk as a lease (202 accept; execution is async
 // worker-side). The caller owns the returned activeLease's idx field.
 func (c *coord) sendLease(ctx context.Context, ws *workerState, chunk []campaign.Cell, leaseID string) (*activeLease, error) {
@@ -873,8 +791,8 @@ func (c *coord) sendLease(ctx context.Context, ws *workerState, chunk []campaign
 	var status server.LeaseStatus
 	apiErr, err := c.workPost(ctx, ws, "/v1/work/lease", requestID, server.LeaseRequest{
 		LeaseID:      leaseID,
-		Instructions: c.instructions,
-		Warmup:       c.warmup,
+		Instructions: c.job.Instructions,
+		Warmup:       c.job.Warmup,
 		TTLMillis:    c.opts.LeaseTTL.Milliseconds(),
 		Cells:        cells,
 	}, &status)
@@ -922,30 +840,30 @@ func (c *coord) renewLease(ctx context.Context, ws *workerState, al *activeLease
 	}
 }
 
-// pollLease issues one long-poll against a lease. done reports collection;
-// (zero, false, nil) means the lease is still running.
-func (c *coord) pollLease(ctx context.Context, ws *workerState, al *activeLease, wait time.Duration) (leaseOut, bool, error) {
+// pollLease issues one long-poll against a lease and returns the collected
+// response; (nil, nil) means the lease is still running.
+func (c *coord) pollLease(ctx context.Context, ws *workerState, al *activeLease, wait time.Duration) (*server.CompleteResponse, error) {
 	var resp server.CompleteResponse
 	apiErr, err := c.workPost(ctx, ws, "/v1/work/complete", al.requestID, server.CompleteRequest{
 		LeaseID:    al.leaseID,
 		WaitMillis: wait.Milliseconds(),
 	}, &resp)
 	if err != nil {
-		return leaseOut{}, false, &transportError{err}
+		return nil, &transportError{err}
 	}
 	if apiErr != nil {
 		if apiErr.Code == server.CodeUnknownLease {
-			return leaseOut{}, false, fmt.Errorf("%w: lease %s gone from worker %s", errLeaseLost, al.leaseID, ws.base)
+			return nil, fmt.Errorf("%w: lease %s gone from worker %s", errLeaseLost, al.leaseID, ws.base)
 		}
-		return leaseOut{}, false, apiErr
+		return nil, apiErr
 	}
 	switch resp.Lease.Status {
 	case "done":
-		return leaseOut{results: resp.Results, refs: resp.Refs}, true, nil
+		return &resp, nil
 	case "running":
-		return leaseOut{}, false, nil
+		return nil, nil
 	default: // "canceled", "expired"
-		return leaseOut{}, false, fmt.Errorf("%w: lease %s %s on worker %s", errLeaseLost, al.leaseID, resp.Lease.Status, ws.base)
+		return nil, fmt.Errorf("%w: lease %s %s on worker %s", errLeaseLost, al.leaseID, resp.Lease.Status, ws.base)
 	}
 }
 
@@ -972,36 +890,28 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// workPost sends one /v1/work request with the negotiated wire encodings:
-// the body is gzip-compressed once the worker has advertised X-Work-Gzip
-// (the first request goes plain and learns the capability from the
-// response), responses are requested gzip-encoded, and complete responses
-// are requested as streamed NDJSON — each degrading transparently when the
-// worker predates the encoding. It returns (nil, nil) with out decoded on
-// a 2xx, the worker's error envelope on any other status, and a plain
-// error on a network-level failure. Payload and wire byte counts feed the
-// run summary.
+// workPost sends one /v1/work request: the body gzip-compressed and the
+// response requested gzip-encoded (both plain under NoCompression), and
+// complete responses requested as streamed NDJSON — a worker answering
+// identity-encoded or buffered JSON is decoded just the same. It returns
+// (nil, nil) with out decoded on a 2xx, the worker's error envelope on any
+// other status, and a plain error on a network-level failure. Payload and
+// wire byte counts feed the run summary.
 func (c *coord) workPost(ctx context.Context, ws *workerState, path, requestID string, in, out any) (*apiError, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return nil, fmt.Errorf("encoding %s body: %w", path, err)
 	}
 	c.bytesOut.Add(int64(len(body)))
-	var rd io.Reader = bytes.NewReader(body)
-	gzipped := false
-	if !c.opts.NoCompression && ws.gzipOK {
+	if !c.opts.NoCompression {
 		var zbuf bytes.Buffer
 		zw := gzip.NewWriter(&zbuf)
-		if _, err := zw.Write(body); err == nil && zw.Close() == nil {
-			rd = &zbuf
-			gzipped = true
-			c.bytesOutWire.Add(int64(zbuf.Len()))
-		}
+		_, _ = zw.Write(body) // writing to a bytes.Buffer cannot fail
+		_ = zw.Close()
+		body = zbuf.Bytes()
 	}
-	if !gzipped {
-		c.bytesOutWire.Add(int64(len(body)))
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ws.base+path, rd)
+	c.bytesOutWire.Add(int64(len(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ws.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -1010,15 +920,13 @@ func (c *coord) workPost(ctx context.Context, ws *workerState, path, requestID s
 	// campaign ID, which the worker attaches to its own logs and lease state.
 	req.Header.Set(obs.RequestIDHeader, requestID)
 	req.Header.Set(obs.CampaignIDHeader, c.runID)
-	if gzipped {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
 	// Setting Accept-Encoding explicitly disables the transport's hidden
 	// auto-gzip, so the wire counters see what actually crossed the wire
 	// (and identity keeps the uncompressed baseline genuinely uncompressed).
 	if c.opts.NoCompression {
 		req.Header.Set("Accept-Encoding", "identity")
 	} else {
+		req.Header.Set("Content-Encoding", "gzip")
 		req.Header.Set("Accept-Encoding", "gzip")
 	}
 	_, isComplete := out.(*server.CompleteResponse)
@@ -1033,9 +941,6 @@ func (c *coord) workPost(ctx context.Context, ws *workerState, path, requestID s
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.Header.Get(server.WorkGzipHeader) == "1" {
-		ws.gzipOK = true
-	}
 
 	wire := &countReader{r: io.LimitReader(resp.Body, 64<<20)}
 	defer func() {
@@ -1070,10 +975,6 @@ func (c *coord) workPost(ctx context.Context, ws *workerState, path, requestID s
 	defer func() {
 		c.bytesIn.Add(payload.n)
 	}()
-	if out == nil {
-		_, err := io.Copy(io.Discard, payload)
-		return nil, err
-	}
 	if isComplete && strings.HasPrefix(resp.Header.Get("Content-Type"), "application/x-ndjson") {
 		return nil, decodeCompleteStream(payload, out.(*server.CompleteResponse))
 	}

@@ -134,7 +134,6 @@ func TestFleetByteEquivalentToLocalRun(t *testing.T) {
 	}
 	defer st.Close()
 
-	var lastProgress campaign.Progress
 	sum, err := fleet.Run(ctx, st, spec, fleet.Options{
 		Workers:        []string{w1.URL, w2.URL, w3.URL},
 		LeaseSize:      2, // 12 cells -> 6 leases, spread across 3 workers
@@ -142,8 +141,6 @@ func TestFleetByteEquivalentToLocalRun(t *testing.T) {
 		ProbeRetries:   2,
 		ProbeBackoff:   2 * time.Millisecond,
 		StragglerAfter: -1, // hedging has its own test; keep this run's dispatch accounting exact
-		Progress:       func(p campaign.Progress) { lastProgress = p },
-		Eventf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("fleet run: %v (summary %+v)", err, sum)
@@ -160,11 +157,8 @@ func TestFleetByteEquivalentToLocalRun(t *testing.T) {
 	if sum.LeasesDispatched < 6 {
 		t.Fatalf("6 chunks need >= 6 lease deliveries, got %d", sum.LeasesDispatched)
 	}
-	if lastProgress.Executed != 12 || lastProgress.Total != 12 {
-		t.Fatalf("final progress callback %+v", lastProgress)
-	}
-	if sum.RefsMerged != 8 { // 8 distinct benchmarks => 8 reference profiles
-		t.Fatalf("merged %d reference profiles, want 8", sum.RefsMerged)
+	if sum.RefsSaved != 8 { // 8 distinct benchmarks => 8 reference profiles
+		t.Fatalf("saved %d reference profiles, want 8", sum.RefsSaved)
 	}
 	assertStoresEqual(t, localDir, fleetDir, "after the fleet run")
 
@@ -282,7 +276,6 @@ func TestFleetHedgesStragglers(t *testing.T) {
 		CompleteWait:   20 * time.Millisecond,
 		StragglerAfter: time.Millisecond,
 		MaxAttempts:    10,
-		Eventf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("fleet run: %v (summary %+v)", err, sum)
@@ -389,7 +382,6 @@ func TestFleetAdaptiveSizingConverges(t *testing.T) {
 		LeaseTarget:  400 * time.Millisecond,
 		MaxLeaseSize: 16,
 		CompleteWait: 50 * time.Millisecond,
-		Eventf:       t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("fleet run: %v (summary %+v)", err, sum)
@@ -417,13 +409,13 @@ func TestFleetAdaptiveSizingConverges(t *testing.T) {
 			fast.LeaseSize, lagging.LeaseSize)
 	}
 
-	// The run must have negotiated compression: wire bytes strictly below
-	// payload bytes in both directions.
+	// The run must have compressed: wire bytes strictly below payload
+	// bytes in both directions.
 	if sum.BytesOutWire >= sum.BytesOut || sum.BytesOut == 0 {
-		t.Errorf("request compression not negotiated: bytes_out=%d wire=%d", sum.BytesOut, sum.BytesOutWire)
+		t.Errorf("requests not compressed: bytes_out=%d wire=%d", sum.BytesOut, sum.BytesOutWire)
 	}
 	if sum.BytesInWire >= sum.BytesIn || sum.BytesIn == 0 {
-		t.Errorf("response compression not negotiated: bytes_in=%d wire=%d", sum.BytesIn, sum.BytesInWire)
+		t.Errorf("responses not compressed: bytes_in=%d wire=%d", sum.BytesIn, sum.BytesInWire)
 	}
 }
 
@@ -503,23 +495,21 @@ func TestFleetPipelinedDispatch(t *testing.T) {
 	}
 }
 
-// TestFleetPlainWorkerFallback: against a worker that predates the wire
-// upgrades — no X-Work-Gzip capability, no gzip responses, no NDJSON — the
-// coordinator must fall back transparently to plain buffered JSON and still
-// converge to the byte-identical store.
+// TestFleetPlainWorkerFallback: against a worker that answers every
+// collection identity-encoded and as one buffered JSON body (no gzip, no
+// NDJSON), the coordinator must decode the plain responses transparently
+// and still converge to the byte-identical store.
 func TestFleetPlainWorkerFallback(t *testing.T) {
 	spec := testSpec()
 	localDir := localGroundTruth(t, spec)
 
 	srv := server.New(smtmlp.NewEngine())
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// An old server never saw these negotiation headers, so it behaves
-		// as if they were absent; it also never advertised X-Work-Gzip.
+	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r.Header.Set("Accept-Encoding", "identity")
 		r.Header.Del("Accept")
-		srv.ServeHTTP(&stripHeaderWriter{ResponseWriter: w}, r)
+		srv.ServeHTTP(w, r)
 	}))
-	t.Cleanup(old.Close)
+	t.Cleanup(plain.Close)
 
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -529,38 +519,21 @@ func TestFleetPlainWorkerFallback(t *testing.T) {
 	defer st.Close()
 
 	sum, err := fleet.Run(context.Background(), st, spec, fleet.Options{
-		Workers:      []string{old.URL},
+		Workers:      []string{plain.URL},
 		LeaseSize:    3,
 		CompleteWait: 100 * time.Millisecond,
 	})
 	if err != nil {
-		t.Fatalf("fleet run against old worker: %v (summary %+v)", err, sum)
+		t.Fatalf("fleet run against a plain worker: %v (summary %+v)", err, sum)
 	}
 	if sum.Executed != 12 || sum.Failed != 0 {
 		t.Fatalf("fleet summary %+v", sum)
 	}
-	assertStoresEqual(t, localDir, dir, "after the fallback run")
-	// Nothing was compressed in either direction: wire bytes == payload bytes.
-	if sum.BytesOutWire != sum.BytesOut || sum.BytesOut == 0 {
-		t.Errorf("requests to an old worker were compressed: bytes_out=%d wire=%d", sum.BytesOut, sum.BytesOutWire)
-	}
+	assertStoresEqual(t, localDir, dir, "after the plain-response run")
+	// Nothing came back compressed: response wire bytes == payload bytes.
 	if sum.BytesInWire != sum.BytesIn || sum.BytesIn == 0 {
-		t.Errorf("responses from an old worker counted as compressed: bytes_in=%d wire=%d", sum.BytesIn, sum.BytesInWire)
+		t.Errorf("identity responses counted as compressed: bytes_in=%d wire=%d", sum.BytesIn, sum.BytesInWire)
 	}
-}
-
-// stripHeaderWriter drops the X-Work-Gzip capability advertisement, making
-// a modern in-process server look like one that predates wire compression.
-type stripHeaderWriter struct{ http.ResponseWriter }
-
-func (s *stripHeaderWriter) WriteHeader(code int) {
-	s.Header().Del(server.WorkGzipHeader)
-	s.ResponseWriter.WriteHeader(code)
-}
-
-func (s *stripHeaderWriter) Write(b []byte) (int, error) {
-	s.Header().Del(server.WorkGzipHeader)
-	return s.ResponseWriter.Write(b)
 }
 
 // TestFleetRenewalOutlivesTTL: a lease whose execution takes far longer
@@ -591,7 +564,6 @@ func TestFleetRenewalOutlivesTTL(t *testing.T) {
 		LeaseSize:    2,
 		LeaseTTL:     ttl,
 		CompleteWait: 50 * time.Millisecond,
-		Eventf:       t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("fleet run: %v (summary %+v)", err, sum)

@@ -1,5 +1,5 @@
 // The /v1/work endpoints: the worker half of distributed campaign
-// execution. A fleet coordinator (internal/fleet, cmd/smtfleet) partitions a
+// execution. A fleet coordinator (internal/fleet, smtsweep -workers) carves a
 // campaign's missing cells into leases and delivers each lease to a worker
 // with POST /v1/work/lease; the worker executes the cells asynchronously
 // through its own per-lease engine (sharing the server's reference cache)
@@ -26,10 +26,7 @@
 //
 // The wire is built for throughput on large leases:
 //
-//   - Request bodies may be gzip-compressed (Content-Encoding: gzip); every
-//     /v1/work response carries an X-Work-Gzip: 1 capability header so a
-//     coordinator learns it may compress after its first exchange, keeping
-//     old coordinators against new workers (and vice versa) working.
+//   - Request bodies may be gzip-compressed (Content-Encoding: gzip).
 //   - /v1/work/complete responses honor Accept-Encoding: gzip, and with
 //     Accept: application/x-ndjson the results are streamed one NDJSON line
 //     at a time (lease line, then result lines in cell order, then ref
@@ -74,9 +71,6 @@ const (
 	// maxWorkBodyBytes caps a /v1/work request body after gzip decompression
 	// (the wire bytes are capped at maxBodyBytes before inflation).
 	maxWorkBodyBytes = 8 << 20
-	// WorkGzipHeader advertises gzip request-body support on every /v1/work
-	// response, so coordinators can negotiate compression transparently.
-	WorkGzipHeader = "X-Work-Gzip"
 )
 
 // WorkCell is one leased simulation: the campaign's content address plus the
@@ -286,7 +280,6 @@ func (s *Server) decodeWorkBody(w http.ResponseWriter, r *http.Request, v any) b
 // idempotent re-POST doubles as the coordinator's TTL heartbeat), and
 // starts executing fresh leases on the server's lifecycle context.
 func (s *Server) handleWorkLease(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(WorkGzipHeader, "1")
 	var lr LeaseRequest
 	if !s.decodeWorkBody(w, r, &lr) {
 		return
@@ -455,6 +448,9 @@ func (s *Server) expireLease(lease *workLease) {
 		lease.expire.Reset(remaining)
 		return
 	}
+	// Count the expiry before the lease leaves the map, so a listing that
+	// no longer shows the lease always counts it as expired.
+	s.leasesExpired.Add(1)
 	delete(s.leases, lease.id)
 	s.mu.Unlock()
 	lease.mu.Lock()
@@ -463,7 +459,6 @@ func (s *Server) expireLease(lease *workLease) {
 	}
 	lease.mu.Unlock()
 	lease.cancel()
-	s.leasesExpired.Add(1)
 	s.leaseLifetime.Observe(time.Since(lease.accepted))
 	s.log.Warn("lease expired uncollected",
 		obs.KeyLeaseID, lease.id, obs.KeyRequestID, lease.requestID,
@@ -550,7 +545,6 @@ func leaseRefs(eng *smtmlp.Engine, cells []WorkCell) []smtmlp.RefProfile {
 // (streamed, one line per result) and Accept-Encoding: gzip; absent those
 // headers it is the buffered JSON body old coordinators expect.
 func (s *Server) handleWorkComplete(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(WorkGzipHeader, "1")
 	var cr CompleteRequest
 	if !s.decodeWorkBody(w, r, &cr) {
 		return
@@ -679,7 +673,6 @@ func (s *Server) writeCompleteResponse(w http.ResponseWriter, r *http.Request, r
 // handleWorkList reports every lease the worker holds plus the lifetime
 // counters.
 func (s *Server) handleWorkList(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set(WorkGzipHeader, "1")
 	s.mu.Lock()
 	var held []*workLease
 	live := s.leaseOrder[:0]
