@@ -17,9 +17,11 @@ import (
 	"smtmlp"
 
 	"smtmlp/internal/bench"
+	"smtmlp/internal/campaign"
 	"smtmlp/internal/experiments"
 	"smtmlp/internal/metrics"
 	"smtmlp/internal/sim"
+	"smtmlp/internal/store"
 )
 
 // benchRunner returns a runner sized for the bench harness. Every benchmark
@@ -88,6 +90,27 @@ func BenchmarkFigure6and7and8(b *testing.B) {
 	}
 }
 
+// benchGrid runs one figure grid per iteration into a fresh store, so every
+// iteration simulates its cells instead of reading the previous iteration's
+// from the store, and reports the cells simulated per iteration.
+func benchGrid(b *testing.B, figure func(context.Context, *experiments.Campaigns)) {
+	b.Helper()
+	benchRunner(b)
+	cells := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := store.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		figure(context.Background(), &experiments.Campaigns{Store: st, Instructions: 30_000, Warmup: 10_000,
+			Report: func(s campaign.Summary) { cells += s.Executed }})
+		st.Close()
+	}
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+}
+
 // reportGroup emits STP/ANTT metrics for one workload class of a policy
 // comparison.
 func reportGroup(b *testing.B, pc experiments.PolicyComparison, class bench.WorkloadClass, prefix string) {
@@ -102,107 +125,115 @@ func reportGroup(b *testing.B, pc experiments.PolicyComparison, class bench.Work
 
 // BenchmarkFigure9and10 regenerates the two-thread policy comparison.
 func BenchmarkFigure9and10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pc := experiments.Figure9and10(context.Background(), benchRunner(b))
+	benchGrid(b, func(ctx context.Context, c *experiments.Campaigns) {
+		pc, err := c.Figure9and10(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
 		reportGroup(b, pc, bench.MLPWorkload, "mlp")
 		reportGroup(b, pc, bench.MixedWorkload, "mixed")
-	}
+	})
 }
 
 // BenchmarkFigure11and12 regenerates the per-thread IPC stacks (the same
 // simulations as Figures 9/10, rendered per thread).
 func BenchmarkFigure11and12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pc := experiments.Figure9and10(context.Background(), benchRunner(b))
+	benchGrid(b, func(ctx context.Context, c *experiments.Campaigns) {
+		pc, err := c.Figure9and10(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
 		_ = pc.IPCStacks(bench.MLPWorkload)
 		_ = pc.IPCStacks(bench.MixedWorkload)
-	}
+	})
 }
 
 // BenchmarkFigure13and14 regenerates the four-thread policy comparison.
 func BenchmarkFigure13and14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pc := experiments.Figure13and14(context.Background(), benchRunner(b))
+	benchGrid(b, func(ctx context.Context, c *experiments.Campaigns) {
+		pc, err := c.Figure13and14(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
 		reportGroup(b, pc, bench.MixedWorkload, "4t-mixed")
+	})
+}
+
+// sweepMetric reports get(mlpflush)/get(icount) at each label through rel.
+func sweepMetric(b *testing.B, res experiments.SweepResult, labels []string, get func(experiments.SweepPoint) float64,
+	rel func(mlpflush, icount float64) float64, suffix string) {
+	b.Helper()
+	for _, label := range labels {
+		var icount, mlpflush float64
+		for _, p := range res.Points[label] {
+			switch p.Policy {
+			case "icount":
+				icount = get(p)
+			case "mlpflush":
+				mlpflush = get(p)
+			}
+		}
+		if icount > 0 {
+			b.ReportMetric(rel(mlpflush, icount), label+suffix)
+		}
 	}
 }
 
 // BenchmarkFigure15and16 regenerates the memory latency sweep.
 func BenchmarkFigure15and16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure15and16(context.Background(), benchRunner(b))
+	benchGrid(b, func(ctx context.Context, c *experiments.Campaigns) {
+		res, err := c.Figure15and16(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
 		// The paper's trend: the MLP-aware flush advantage over ICOUNT
 		// grows with memory latency. Report both endpoints.
-		for _, label := range []string{"mem=200", "mem=800"} {
-			var icount, mlpflush float64
-			for _, p := range res.Points[label] {
-				switch p.Policy {
-				case "icount":
-					icount = p.STP
-				case "mlpflush":
-					mlpflush = p.STP
-				}
-			}
-			if icount > 0 {
-				b.ReportMetric(mlpflush/icount-1, label+"-stp-gain")
-			}
-		}
-	}
+		sweepMetric(b, res, []string{"mem=200", "mem=800"}, func(p experiments.SweepPoint) float64 { return p.STP },
+			func(m, i float64) float64 { return m/i - 1 }, "-stp-gain")
+	})
 }
 
 // BenchmarkFigure17and18 regenerates the window size sweep.
 func BenchmarkFigure17and18(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure17and18(context.Background(), benchRunner(b))
-		for _, label := range []string{"rob=128", "rob=1024"} {
-			var icount, mlpflush float64
-			for _, p := range res.Points[label] {
-				switch p.Policy {
-				case "icount":
-					icount = p.ANTT
-				case "mlpflush":
-					mlpflush = p.ANTT
-				}
-			}
-			if icount > 0 {
-				b.ReportMetric(1-mlpflush/icount, label+"-antt-gain")
-			}
+	benchGrid(b, func(ctx context.Context, c *experiments.Campaigns) {
+		res, err := c.Figure17and18(ctx)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		sweepMetric(b, res, []string{"rob=128", "rob=1024"}, func(p experiments.SweepPoint) float64 { return p.ANTT },
+			func(m, i float64) float64 { return 1 - m/i }, "-antt-gain")
+	})
 }
 
 // BenchmarkFigure20and21 regenerates the alternative-policy study (a-e).
 func BenchmarkFigure20and21(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pc := experiments.Figure20and21(context.Background(), benchRunner(b))
+	benchGrid(b, func(ctx context.Context, c *experiments.Campaigns) {
+		pc, err := c.Figure20and21(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if f, ok := pc.GroupPolicy(bench.MLPWorkload, "mlpflush"); ok {
 			if d, ok2 := pc.GroupPolicy(bench.MLPWorkload, "mlpflush-rs"); ok2 {
 				b.ReportMetric(metrics.RelativeChange(f.STP, d.STP), "d-vs-b-stp")
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkFigure22and23 regenerates the partitioning comparison
 // (MLP-aware flush vs static partitioning vs DCRA).
 func BenchmarkFigure22and23(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Figure22and23(context.Background(), benchRunner(b))
-		var mlpflush, dcra float64
-		for _, row := range res.TwoThread {
-			if row.Class == bench.MLPWorkload {
-				switch row.Scheme {
-				case "mlpflush":
-					mlpflush = row.ANTT
-				case "dcra":
-					dcra = row.ANTT
-				}
-			}
+	benchGrid(b, func(ctx context.Context, c *experiments.Campaigns) {
+		res, err := c.Figure22and23(ctx)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if dcra > 0 {
-			b.ReportMetric(1-mlpflush/dcra, "antt-gain-vs-dcra")
+		mlpflush, ok1 := res.TwoThread.GroupPolicy(bench.MLPWorkload, "mlpflush")
+		dcra, ok2 := res.TwoThread.GroupPolicy(bench.MLPWorkload, "dcra")
+		if ok1 && ok2 && dcra.ANTT > 0 {
+			b.ReportMetric(1-mlpflush.ANTT/dcra.ANTT, "antt-gain-vs-dcra")
 		}
-	}
+	})
 }
 
 // BenchmarkCorePipeline measures raw simulator speed (cycles simulated per
@@ -216,7 +247,7 @@ func BenchmarkCorePipeline(b *testing.B) {
 	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := r.RunWorkload(cfg, w, smtmlp.MLPFlush, nil)
+		res := r.RunWorkload(cfg, w, smtmlp.MLPFlush)
 		b.ReportMetric(float64(res.Result.Cycles), "cycles")
 	}
 }

@@ -11,38 +11,52 @@
 //	table1, fig4, fig5, predictors, fig9-10, fig11-12, fig13-14,
 //	fig15-16, fig17-18, fig20-21, fig22-23
 //
-// With -store, the policy comparisons (fig9-10, fig13-14) run through the
-// campaign subsystem against the persistent result store at DIR: cells
-// already simulated (at the same budget and configuration) are reused, and
-// an interrupted reproduction resumes instead of restarting.
+// The figure grids (fig9-10 through fig22-23) run as campaigns into one
+// result store, so figures share cells (fig11-12 reads fig9-10's), and
+// each prints how many cells came from the store and how many it
+// simulated. With -store DIR the store persists: a second run simulates
+// nothing, and an interrupted one resumes. Without it, repro uses a scratch
+// store and removes it on exit.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"smtmlp/internal/bench"
+	"smtmlp/internal/campaign"
 	"smtmlp/internal/experiments"
 	"smtmlp/internal/sim"
 	"smtmlp/internal/store"
 )
 
 func main() {
-	instructions := flag.Uint64("instructions", 300_000, "per-thread instruction budget (the paper uses 200M)")
-	warmup := flag.Uint64("warmup", 0, "warm-up instructions before measurement (0 = budget/4)")
-	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	only := flag.String("only", "", "comma-separated experiment subset (empty = all)")
-	storeDir := flag.String("store", "", "persistent result store for the policy comparisons (empty = in-memory only)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	instructions := fs.Uint64("instructions", 300_000, "per-thread instruction budget (the paper uses 200M)")
+	warmup := fs.Uint64("warmup", 0, "warm-up instructions before measurement (0 = budget/4)")
+	parallel := fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	only := fs.String("only", "", "comma-separated experiment subset (empty = all)")
+	storeDir := fs.String("store", "", "persistent result store for the figure grids (empty = a scratch store removed on exit)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	// Ctrl-C / SIGTERM cancels the batch pools: in-flight simulations
-	// finish, queued ones drain immediately.
+	// finish, queued ones drain immediately, and run returns through its
+	// deferred cleanup.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -51,102 +65,99 @@ func main() {
 		Warmup:       *warmup,
 		Parallelism:  *parallel,
 	})
-
-	selected := map[string]bool{}
-	for _, s := range strings.Split(*only, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			selected[s] = true
-		}
-	}
-	want := func(name string) bool { return len(selected) == 0 || selected[name] }
-
-	// With -store, the policy comparisons go through the campaign subsystem:
-	// persistent, deduplicated, resumable after an interruption.
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		if st, err = store.Open(*storeDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer st.Close()
-	}
-	comparison := func(threads int) func() fmt.Stringer {
-		return func() fmt.Stringer {
-			if st == nil {
-				if threads == 4 {
-					return experiments.Figure13and14(ctx, runner)
-				}
-				return experiments.Figure9and10(ctx, runner)
-			}
-			pc, sum, err := experiments.PolicyComparisonCampaign(ctx, st, threads,
-				*instructions, *warmup, *parallel)
-			if err != nil && ctx.Err() == nil {
-				fmt.Fprintln(os.Stderr, err)
-				st.Close() // os.Exit skips the deferred Close
-				os.Exit(1)
-			}
-			fmt.Printf("(campaign: %d cells, %d from store, %d simulated)\n",
-				sum.Total, sum.Skipped, sum.Executed)
-			return pc
-		}
+	var summaries []campaign.Summary
+	grids := &experiments.Campaigns{
+		Instructions: *instructions,
+		Warmup:       *warmup,
+		Parallelism:  *parallel,
+		Report:       func(s campaign.Summary) { summaries = append(summaries, s) },
 	}
 
 	type experiment struct {
 		name string
-		run  func() fmt.Stringer
+		run  func() (fmt.Stringer, error)
 	}
 	list := []experiment{
-		{"table1", func() fmt.Stringer { return experiments.TableI(ctx, runner) }},
-		{"fig4", func() fmt.Stringer { return experiments.Figure4(ctx, runner) }},
-		{"fig5", func() fmt.Stringer { return experiments.Figure5(ctx, runner) }},
-		{"predictors", func() fmt.Stringer { return predictorBundle{experiments.Predictors(ctx, runner)} }},
-		{"fig9-10", comparison(2)},
-		{"fig11-12", func() fmt.Stringer { return ipcBundle{experiments.Figure9and10(ctx, runner)} }},
-		{"fig13-14", comparison(4)},
-		{"fig15-16", func() fmt.Stringer { return experiments.Figure15and16(ctx, runner) }},
-		{"fig17-18", func() fmt.Stringer { return experiments.Figure17and18(ctx, runner) }},
-		{"fig20-21", func() fmt.Stringer { return experiments.Figure20and21(ctx, runner) }},
-		{"fig22-23", func() fmt.Stringer { return experiments.Figure22and23(ctx, runner) }},
+		{"table1", func() (fmt.Stringer, error) { return experiments.TableI(ctx, runner), nil }},
+		{"fig4", func() (fmt.Stringer, error) { return experiments.Figure4(ctx, runner), nil }},
+		{"fig5", func() (fmt.Stringer, error) { return experiments.Figure5(ctx, runner), nil }},
+		{"predictors", func() (fmt.Stringer, error) { return predictorBundle{experiments.Predictors(ctx, runner)}, nil }},
+		{"fig9-10", func() (fmt.Stringer, error) { return grids.Figure9and10(ctx) }},
+		{"fig11-12", func() (fmt.Stringer, error) {
+			pc, err := grids.Figure9and10(ctx)
+			return ipcBundle{pc}, err
+		}},
+		{"fig13-14", func() (fmt.Stringer, error) { return grids.Figure13and14(ctx) }},
+		{"fig15-16", func() (fmt.Stringer, error) { return grids.Figure15and16(ctx) }},
+		{"fig17-18", func() (fmt.Stringer, error) { return grids.Figure17and18(ctx) }},
+		{"fig20-21", func() (fmt.Stringer, error) { return grids.Figure20and21(ctx) }},
+		{"fig22-23", func() (fmt.Stringer, error) { return grids.Figure22and23(ctx) }},
 	}
 
-	fmt.Printf("# MLP-aware SMT fetch policy reproduction — %d instructions/thread, warmup %d\n\n",
-		*instructions, runnerWarmup(runner))
+	selected := map[string]bool{}
+	for _, s := range strings.Split(*only, ",") {
+		if s = strings.TrimSpace(s); s == "" {
+			continue
+		}
+		if !slices.ContainsFunc(list, func(e experiment) bool { return e.name == s }) {
+			fmt.Fprintf(stderr, "unknown experiment %q\n", s)
+			return 2
+		}
+		selected[s] = true
+	}
+
+	dir := *storeDir
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "repro-store-")
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer os.RemoveAll(tmp)
+		dir = tmp
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer st.Close()
+	grids.Store = st
+
+	fmt.Fprintf(stdout, "# MLP-aware SMT fetch policy reproduction — %d instructions/thread, warmup %d\n\n",
+		*instructions, runner.Params.EffectiveWarmup())
 	for _, e := range list {
-		if !want(e.name) {
+		if len(selected) > 0 && !selected[e.name] {
 			continue
 		}
 		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "interrupted; stopping")
-			os.Exit(1)
+			break
 		}
 		start := time.Now()
-		res := e.run()
-		fmt.Printf("## %s (%.1fs)\n\n%s\n", e.name, time.Since(start).Seconds(), res)
-	}
-	// An interruption during the last experiment leaves it rendered with
-	// partial data; still report the run as interrupted.
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "interrupted; stopping")
-		os.Exit(1)
-	}
-	if len(selected) > 0 {
-		for name := range selected {
-			found := false
-			for _, e := range list {
-				if e.name == name {
-					found = true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-				os.Exit(2)
-			}
+		summaries = summaries[:0]
+		res, err := e.run()
+		if err != nil && ctx.Err() == nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
+			return 1
 		}
+		// An interrupted experiment still renders over the cells that
+		// finished; the run is then reported as interrupted below.
+		fmt.Fprintf(stdout, "## %s (%.1fs)\n", e.name, time.Since(start).Seconds())
+		for _, s := range summaries {
+			fmt.Fprintf(stdout, "(campaign: %d cells, %d from store, %d simulated)\n", s.Total, s.Skipped, s.Executed)
+		}
+		fmt.Fprintf(stdout, "\n%s\n", res)
 	}
+	if ctx.Err() != nil {
+		fmt.Fprintln(stderr, "interrupted; stopping")
+		return 1
+	}
+	if err := st.Close(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }
-
-func runnerWarmup(r *sim.Runner) uint64 { return r.Params.EffectiveWarmup() }
 
 // predictorBundle renders Figures 6, 7 and 8 from one characterization run.
 type predictorBundle struct{ p experiments.PredictorsResult }

@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	smtsim [-policy name] [-limiter name] [-instructions N] [-threads b1,b2,...]
+//	smtsim [-policy name] [-instructions N] [-threads b1,b2,...]
 //
 // Examples:
 //
 //	smtsim -threads mcf,galgel -policy mlpflush
 //	smtsim -threads swim,twolf -policy flush -instructions 1000000
-//	smtsim -threads mcf,swim,perlbmk,mesa -limiter dcra
+//	smtsim -threads mcf,swim,perlbmk,mesa -policy dcra
 package main
 
 import (
@@ -37,8 +37,7 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("smtsim", flag.ContinueOnError)
 	threads := fs.String("threads", "mcf,galgel", "comma-separated benchmark names")
-	policyName := fs.String("policy", "mlpflush", "fetch policy: icount, stall, pstall, mlpstall, flush, mlpflush, binflush, mlpflush-rs, binflush-rs")
-	limiterName := fs.String("limiter", "", "resource partitioning: static or dcra (empty = fetch-policy managed)")
+	policyName := fs.String("policy", "mlpflush", "fetch policy (icount, stall, pstall, mlpstall, flush, mlpflush, binflush, mlpflush-rs, binflush-rs) or resource partitioning scheme under ICOUNT (static, dcra)")
 	instructions := fs.Uint64("instructions", 500_000, "per-thread instruction budget")
 	warmup := fs.Uint64("warmup", 0, "warm-up instructions (0 = budget/4)")
 	if err := fs.Parse(args); err != nil {
@@ -59,20 +58,9 @@ func run(ctx context.Context, args []string, out io.Writer) int {
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policyName)
 		return 2
 	}
-	var limiter core.Limiter
-	switch *limiterName {
-	case "":
-	case "static":
-		limiter = policy.StaticPartition{}
-	case "dcra":
-		limiter = policy.DCRA{}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown limiter %q\n", *limiterName)
-		return 2
-	}
 
 	runner := sim.NewRunner(sim.Params{Instructions: *instructions, Warmup: *warmup})
-	res, err := runner.RunWorkloadCtx(ctx, core.DefaultConfig(len(names)), w, kind, limiter)
+	res, err := runner.RunWorkloadCtx(ctx, core.DefaultConfig(len(names)), w, kind)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

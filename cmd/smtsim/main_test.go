@@ -22,14 +22,18 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
+// TestRunWithLimiter selects the resource partitioning schemes by policy
+// name.
 func TestRunWithLimiter(t *testing.T) {
-	var out bytes.Buffer
-	if code := run(context.Background(), []string{"-threads", "swim,twolf", "-limiter", "dcra",
-		"-instructions", "8000"}, &out); code != 0 {
-		t.Fatalf("exit code %d", code)
-	}
-	if !strings.Contains(out.String(), "dcra") {
-		t.Fatal("limiter name not reported")
+	for _, name := range []string{"static", "dcra"} {
+		var out bytes.Buffer
+		if code := run(context.Background(), []string{"-threads", "swim,twolf", "-policy", name,
+			"-instructions", "8000"}, &out); code != 0 {
+			t.Fatalf("%s: exit code %d", name, code)
+		}
+		if !strings.Contains(out.String(), "policy: "+name) {
+			t.Fatalf("%s not reported:\n%s", name, out.String())
+		}
 	}
 }
 
@@ -44,12 +48,5 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 	var out bytes.Buffer
 	if code := run(context.Background(), []string{"-threads", "swim,twolf", "-policy", "nope"}, &out); code == 0 {
 		t.Fatal("unknown policy accepted")
-	}
-}
-
-func TestRunRejectsUnknownLimiter(t *testing.T) {
-	var out bytes.Buffer
-	if code := run(context.Background(), []string{"-threads", "swim,twolf", "-limiter", "nope"}, &out); code == 0 {
-		t.Fatal("unknown limiter accepted")
 	}
 }

@@ -3,113 +3,65 @@ package experiments
 import (
 	"context"
 
-	"smtmlp/internal/bench"
-	"smtmlp/internal/core"
-	"smtmlp/internal/metrics"
+	"smtmlp/internal/campaign"
 	"smtmlp/internal/policy"
-	"smtmlp/internal/sim"
 )
+
+// Figure20and21Spec is the alternative-policy study's grid: the Table II
+// workloads under policies (a)-(e) of Figure 19.
+func Figure20and21Spec() campaign.Spec {
+	return specOf("fig20-21", "two_thread", policy.Alternatives())
+}
 
 // Figure20and21 reproduces the alternative MLP-aware fetch policies study
 // (Section 6.5): policies (a)-(e) of Figure 19 over the three two-thread
 // workload groups, reported as STP (Figure 20) and ANTT (Figure 21).
-func Figure20and21(ctx context.Context, r *sim.Runner) PolicyComparison {
-	return comparePolicies(ctx, r, core.DefaultConfig(2), bench.TwoThreadWorkloads(), policy.Alternatives(),
-		"Figures 20 & 21 — alternative MLP-aware fetch policies (a=flush, b=mlpflush, c=binflush, d=mlpflush-rs, e=binflush-rs)")
-}
-
-// PartitioningRow aggregates one resource-management scheme over one
-// workload class.
-type PartitioningRow struct {
-	Scheme string
-	Class  bench.WorkloadClass
-	STP    float64
-	ANTT   float64
+func (c *Campaigns) Figure20and21(ctx context.Context) (PolicyComparison, error) {
+	return c.compare(ctx,
+		"Figures 20 & 21 — alternative MLP-aware fetch policies (a=flush, b=mlpflush, c=binflush, d=mlpflush-rs, e=binflush-rs)",
+		Figure20and21Spec())
 }
 
 // PartitioningResult is the Figure 22/23 comparison of the MLP-aware flush
 // policy against static partitioning and DCRA, for two- and four-thread
 // workloads.
 type PartitioningResult struct {
-	TwoThread  []PartitioningRow
-	FourThread []PartitioningRow
+	TwoThread  PolicyComparison
+	FourThread PolicyComparison
 }
 
-// partitionSchemes defines the three contenders of Figures 22 and 23.
-func partitionSchemes() []struct {
-	name    string
-	kind    policy.Kind
-	limiter core.Limiter
-} {
-	return []struct {
-		name    string
-		kind    policy.Kind
-		limiter core.Limiter
-	}{
-		{"mlpflush", policy.MLPFlush, nil},
-		{"static", policy.ICount, policy.StaticPartition{}},
-		{"dcra", policy.ICount, policy.DCRA{}},
-	}
+// partitioning are the three contenders of Figures 22 and 23.
+var partitioning = []policy.Kind{policy.MLPFlush, policy.Static, policy.DynamicAllocation}
+
+// Figure22and23Specs are the partitioning comparison's grids: the Table II
+// and Table III workloads under mlpflush, static and dcra.
+func Figure22and23Specs() (twoThread, fourThread campaign.Spec) {
+	return specOf("fig22-23-2t", "two_thread", partitioning), specOf("fig22-23-4t", "four_thread", partitioning)
 }
 
 // Figure22and23 runs the partitioning comparison.
-func Figure22and23(ctx context.Context, r *sim.Runner) PartitioningResult {
+func (c *Campaigns) Figure22and23(ctx context.Context) (PartitioningResult, error) {
+	two, four := Figure22and23Specs()
 	var out PartitioningResult
-	out.TwoThread = runPartitioning(ctx, r, core.DefaultConfig(2), bench.TwoThreadWorkloads())
-	out.FourThread = runPartitioning(ctx, r, core.DefaultConfig(4), bench.FourThreadWorkloads())
-	return out
-}
-
-func runPartitioning(ctx context.Context, r *sim.Runner, cfg core.Config, workloads []bench.Workload) []PartitioningRow {
-	schemes := partitionSchemes()
-	// Submit scheme-major so the pool's first wave spans distinct
-	// workloads (see comparePolicies); results stay workload-major:
-	// results[wi*len(schemes)+si].
-	reqs := make([]sim.BatchRequest, 0, len(workloads)*len(schemes))
-	pos := make([]int, 0, len(workloads)*len(schemes))
-	for si, s := range schemes {
-		for wi, w := range workloads {
-			reqs = append(reqs, sim.BatchRequest{Config: cfg, Workload: w, Kind: s.kind, Limiter: s.limiter})
-			pos = append(pos, wi*len(schemes)+si)
-		}
+	var err error
+	if out.TwoThread, err = c.compare(ctx, "", two); err != nil {
+		return out, err
 	}
-	results, finished := collectBatch(ctx, r, reqs, pos)
-
-	var rows []PartitioningRow
-	for _, class := range []bench.WorkloadClass{bench.ILPWorkload, bench.MLPWorkload, bench.MixedWorkload} {
-		if len(bench.WorkloadsByClass(workloads, class)) == 0 {
-			continue
-		}
-		for si, s := range schemes {
-			var stps, antts []float64
-			for wi, w := range workloads {
-				if w.Class != class || !finished[wi*len(schemes)+si] {
-					continue
-				}
-				res := results[wi*len(schemes)+si]
-				stps = append(stps, res.STP)
-				antts = append(antts, res.ANTT)
-			}
-			rows = append(rows, PartitioningRow{
-				Scheme: s.name,
-				Class:  class,
-				STP:    metrics.HarmonicMean(stps),
-				ANTT:   metrics.ArithmeticMean(antts),
-			})
-		}
-	}
-	return rows
+	out.FourThread, err = c.compare(ctx, "", four)
+	return out, err
 }
 
 // String renders Figures 22 and 23.
 func (p PartitioningResult) String() string {
-	render := func(title string, rows []PartitioningRow) string {
+	render := func(title string, pc PolicyComparison) string {
 		tbl := Table{
 			Title:  title,
 			Header: []string{"group", "scheme", "STP", "ANTT"},
 		}
-		for _, r := range rows {
-			tbl.AddRow(r.Class.String(), r.Scheme, f3(r.STP), f3(r.ANTT))
+		for _, g := range pc.Groups {
+			for _, s := range pc.ByGroup[g] {
+				tbl.AddRow(g.String(), s.Policy, f3(s.STP), f3(s.ANTT))
+			}
 		}
 		return tbl.String()
 	}

@@ -2,119 +2,116 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
-	"smtmlp"
 	"smtmlp/internal/bench"
 	"smtmlp/internal/campaign"
-	"smtmlp/internal/metrics"
+	"smtmlp/internal/policy"
 	"smtmlp/internal/store"
 )
 
-// PolicySweepSpec expresses the paper's main policy x workload comparison —
-// Figures 9/10 for two threads (Table II), Figures 13/14 for four threads
-// (Table III) — as a declarative campaign spec: the same grid
-// comparePolicies hand-rolls, but persistent, deduplicated and resumable
-// when run through campaign.Run.
-func PolicySweepSpec(threads int, instructions, warmup uint64) (campaign.Spec, error) {
-	var table string
-	switch threads {
-	case 2:
-		table = "two_thread"
-	case 4:
-		table = "four_thread"
-	default:
-		return campaign.Spec{}, fmt.Errorf("experiments: no workload table for %d threads", threads)
-	}
-	var policies []string
-	for _, p := range smtmlp.Policies() {
-		policies = append(policies, p.String())
-	}
-	return campaign.Spec{
-		Name:         fmt.Sprintf("policy-sweep-%dt", threads),
-		Instructions: instructions,
-		Warmup:       warmup,
-		Policies:     policies,
-		Workloads:    campaign.WorkloadSpec{Tables: []string{table}},
-	}, nil
+// Campaigns runs the paper's figure grids as campaigns against one result
+// store and renders them from it. A cell is simulated at most once per
+// store, by whichever figure needs it first: Figures 11/12 read the cells
+// of Figures 9/10, and Figures 20-23 reuse their flush and mlpflush cells.
+// campaign.Summarize is the only aggregation, so every figure averages
+// with the paper's rules (harmonic-mean STP, arithmetic-mean ANTT).
+type Campaigns struct {
+	Store *store.Store
+	// Instructions and Warmup are the per-thread budget of every cell; zero
+	// values take the engine defaults (see campaign.Spec).
+	Instructions, Warmup uint64
+	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
+	Parallelism int
+	// Report, when set, receives the summary of every campaign run.
+	Report func(campaign.Summary)
 }
 
-// PolicyComparisonCampaign runs the Figure 9/10 (threads=2) or Figure 13/14
-// (threads=4) comparison through the campaign subsystem: cells already in
-// the store are skipped, new cells are persisted, and an interrupted run
-// resumes on the next invocation. The aggregation matches comparePolicies
-// (harmonic-mean STP, arithmetic-mean ANTT per workload class). A canceled
-// run returns the partial comparison over whatever the store holds, along
-// with the cancellation error.
-func PolicyComparisonCampaign(ctx context.Context, st *store.Store, threads int,
-	instructions, warmup uint64, parallelism int) (PolicyComparison, campaign.Summary, error) {
-	spec, err := PolicySweepSpec(threads, instructions, warmup)
-	if err != nil {
-		return PolicyComparison{}, campaign.Summary{}, err
+// specOf names a spec over the paper's workload table and policies; the
+// figure constructors add a configuration grid where they sweep one.
+func specOf(name, table string, kinds []policy.Kind) campaign.Spec {
+	spec := campaign.Spec{Name: name, Workloads: campaign.WorkloadSpec{Tables: []string{table}}}
+	for _, k := range kinds {
+		spec.Policies = append(spec.Policies, k.String())
 	}
-	sum, runErr := campaign.Run(ctx, st, spec, campaign.Options{Parallelism: parallelism})
-
-	pc, err := policyComparisonFromStore(st, spec, threads)
-	if err != nil {
-		return PolicyComparison{}, sum, err
-	}
-	return pc, sum, runErr
+	return spec
 }
 
-// policyComparisonFromStore aggregates the spec's persisted cells into the
-// PolicyComparison shape.
-func policyComparisonFromStore(st *store.Store, spec campaign.Spec, threads int) (PolicyComparison, error) {
+// run executes spec at the receiver's budget into the store and returns the
+// budgeted spec, whose fingerprints address the cells it wrote. A canceled
+// run still returns the spec: the figure renders over what the store holds.
+func (c *Campaigns) run(ctx context.Context, spec campaign.Spec) (campaign.Spec, error) {
+	spec.Instructions, spec.Warmup = c.Instructions, c.Warmup
+	sum, err := campaign.Run(ctx, c.Store, spec, campaign.Options{Parallelism: c.Parallelism})
+	if c.Report != nil {
+		c.Report(sum)
+	}
+	return spec, err
+}
+
+// compare runs a policy x workload spec (with its Policies listed) and
+// summarizes it per workload class. Each class is a sub-spec listing that class's mixes in expansion
+// order; fingerprints ignore tags and class, so the sub-specs read the
+// cells the full spec wrote.
+func (c *Campaigns) compare(ctx context.Context, title string, spec campaign.Spec) (PolicyComparison, error) {
+	spec, runErr := c.run(ctx, spec)
 	reqs, fps, err := spec.Requests()
 	if err != nil {
 		return PolicyComparison{}, err
 	}
-	title := "Figures 9 & 10 — STP and ANTT, two-thread workloads (campaign store)"
-	if threads == 4 {
-		title = "Figures 13 & 14 — STP and ANTT, four-thread workloads (campaign store)"
-	}
-	pc := PolicyComparison{
-		Title:    title,
-		Policies: append([]string(nil), spec.Policies...),
-		ByGroup:  make(map[bench.WorkloadClass][]GroupStats),
-	}
-
-	type cell struct{ stps, antts []float64 }
-	cells := make(map[bench.WorkloadClass]map[string]*cell)
-	present := make(map[bench.WorkloadClass]bool)
+	pc := PolicyComparison{Title: title, Policies: spec.Policies, ByGroup: make(map[bench.WorkloadClass][]GroupStats)}
+	byWorkload := make(map[string]int) // workload name -> index in pc.Workloads
 	for i, req := range reqs {
-		rec, ok := st.Get(fps[i])
+		name := req.Policy.String()
+		w, ok := byWorkload[req.Workload.Name()]
 		if !ok {
-			continue // not yet simulated (interrupted campaign)
+			w = len(pc.Workloads)
+			byWorkload[req.Workload.Name()] = w
+			pc.Workloads = append(pc.Workloads, WorkloadIPC{Workload: req.Workload, IPC: make(map[string][]float64)})
 		}
-		class := req.Workload.Class
-		present[class] = true
-		if cells[class] == nil {
-			cells[class] = make(map[string]*cell)
+		if rec, ok := c.Store.Get(fps[i]); ok {
+			for _, th := range rec.Result.Threads {
+				pc.Workloads[w].IPC[name] = append(pc.Workloads[w].IPC[name], th.IPC)
+			}
 		}
-		c := cells[class][rec.Result.Policy]
-		if c == nil {
-			c = &cell{}
-			cells[class][rec.Result.Policy] = c
-		}
-		c.stps = append(c.stps, rec.Result.STP)
-		c.antts = append(c.antts, rec.Result.ANTT)
 	}
 	for _, class := range []bench.WorkloadClass{bench.ILPWorkload, bench.MLPWorkload, bench.MixedWorkload} {
-		if !present[class] {
+		sub := spec
+		sub.Workloads = campaign.WorkloadSpec{}
+		for _, w := range pc.Workloads {
+			if w.Workload.Class == class {
+				sub.Workloads.Mixes = append(sub.Workloads.Mixes, w.Workload.Benchmarks)
+			}
+		}
+		if len(sub.Workloads.Mixes) == 0 {
 			continue
 		}
+		rows, err := campaign.Summarize(c.Store, sub)
+		if err != nil {
+			return pc, err
+		}
 		pc.Groups = append(pc.Groups, class)
-		for _, name := range pc.Policies {
-			c := cells[class][name]
-			if c == nil {
-				continue
-			}
-			pc.ByGroup[class] = append(pc.ByGroup[class], GroupStats{
-				Policy: name,
-				STP:    metrics.HarmonicMean(c.stps),
-				ANTT:   metrics.ArithmeticMean(c.antts),
-			})
+		for _, r := range rows {
+			pc.ByGroup[class] = append(pc.ByGroup[class], GroupStats{Policy: r.Policy, STP: r.STP, ANTT: r.ANTT})
 		}
 	}
-	return pc, nil
+	return pc, runErr
+}
+
+// sweep runs a spec over a configuration grid and summarizes it per
+// (configuration point, policy) across all its workloads.
+func (c *Campaigns) sweep(ctx context.Context, title string, spec campaign.Spec) (SweepResult, error) {
+	spec, runErr := c.run(ctx, spec)
+	rows, err := campaign.Summarize(c.Store, spec)
+	if err != nil {
+		return SweepResult{}, err
+	}
+	out := SweepResult{Title: title, Points: make(map[string][]SweepPoint)}
+	for _, r := range rows {
+		if _, ok := out.Points[r.Config]; !ok {
+			out.Labels = append(out.Labels, r.Config)
+		}
+		out.Points[r.Config] = append(out.Points[r.Config],
+			SweepPoint{Label: r.Config, Policy: r.Policy, STP: r.STP, ANTT: r.ANTT})
+	}
+	return out, runErr
 }

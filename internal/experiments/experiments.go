@@ -1,42 +1,17 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 2 characterization and Section 6 evaluation). Each
-// experiment is a function from a sim.Runner (which fixes the instruction
-// budget and parallelism) to a result struct that renders the same rows or
-// series the paper reports. cmd/repro runs them all; the root bench harness
+// experiment returns a result struct that renders the same rows or series
+// the paper reports. The single-thread characterizations (Table I, Figures
+// 4-8) run on a sim.Runner; the multiprogrammed figure grids (Figures 9-18
+// and 20-23) are campaign specs run into a result store and summarized from
+// it (see Campaigns). cmd/repro runs them all; the root bench harness
 // exposes one testing.B benchmark per experiment.
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
-
-	"smtmlp/internal/sim"
 )
-
-// collectBatch fans reqs over the runner's batch pool and scatters the
-// results into slot order: results[pos[i]] holds the outcome of reqs[i].
-// finished marks slots whose simulation completed; canceled requests leave
-// their slot false so aggregations can skip them instead of feeding zeros
-// to the means. Any non-cancellation failure indicates a broken experiment
-// and panics (the experiment tables are curated, so such errors cannot
-// occur in a healthy harness).
-func collectBatch(ctx context.Context, r *sim.Runner, reqs []sim.BatchRequest, pos []int) (results []sim.WorkloadResult, finished []bool) {
-	results = make([]sim.WorkloadResult, len(reqs))
-	finished = make([]bool, len(reqs))
-	for br := range r.RunBatch(ctx, reqs) {
-		if br.Err != nil {
-			if errors.Is(br.Err, context.Canceled) || errors.Is(br.Err, context.DeadlineExceeded) {
-				continue
-			}
-			panic(fmt.Sprintf("experiments: batch request %d failed: %v", br.Index, br.Err))
-		}
-		results[pos[br.Index]] = br.Res
-		finished[pos[br.Index]] = true
-	}
-	return results, finished
-}
 
 // Table is a simple aligned-text table used by all experiment renderings.
 type Table struct {

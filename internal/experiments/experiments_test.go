@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"smtmlp/internal/bench"
-	"smtmlp/internal/core"
+	"smtmlp/internal/campaign"
 	"smtmlp/internal/policy"
 	"smtmlp/internal/sim"
+	"smtmlp/internal/store"
 )
 
 // tinyRunner keeps experiment tests fast; experiment structure, not
@@ -17,9 +18,29 @@ func tinyRunner() *sim.Runner {
 	return sim.NewRunner(sim.Params{Instructions: 8_000, Warmup: 4_000})
 }
 
-func coreConfig2() core.Config { return core.DefaultConfig(2) }
+// tinyCampaigns runs figure grids at tinyRunner's budget into a fresh store.
+func tinyCampaigns(t *testing.T) *Campaigns {
+	t.Helper()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return &Campaigns{Store: st, Instructions: 8_000, Warmup: 4_000}
+}
 
-func paperKinds() []policy.Kind { return policy.Paper() }
+// mixesSpec is a grid over explicit workloads: a reduced stand-in for a
+// figure's table.
+func mixesSpec(workloads []bench.Workload, kinds []policy.Kind) campaign.Spec {
+	var spec campaign.Spec
+	for _, k := range kinds {
+		spec.Policies = append(spec.Policies, k.String())
+	}
+	for _, w := range workloads {
+		spec.Workloads.Mixes = append(spec.Workloads.Mixes, w.Benchmarks)
+	}
+	return spec
+}
 
 func TestTableRendering(t *testing.T) {
 	tbl := Table{Title: "T", Header: []string{"a", "bb"}}
@@ -135,9 +156,14 @@ func TestPredictorsStructure(t *testing.T) {
 // TestPolicyComparisonSubset runs the Figure 9/10 machinery on a reduced
 // workload list to keep the test quick.
 func TestPolicyComparisonSubset(t *testing.T) {
-	r := tinyRunner()
 	workloads := bench.TwoThreadWorkloads()[:8] // 6 ILP + 2 MLP pairs
-	pc := comparePolicies(context.Background(), r, coreConfig2(), workloads, paperKinds(), "test")
+	pc, err := tinyCampaigns(t).compare(context.Background(), "test", mixesSpec(workloads, policy.Paper()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pc.Groups) != 2 {
+		t.Fatalf("groups %v, want ILP and MLP", pc.Groups)
+	}
 	if len(pc.Policies) != 6 {
 		t.Fatalf("policies %v", pc.Policies)
 	}
@@ -162,5 +188,3 @@ func TestPolicyComparisonSubset(t *testing.T) {
 		t.Fatal("IPC stack rendering missing workloads")
 	}
 }
-
-func altKinds() []policy.Kind { return policy.Alternatives() }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"smtmlp/internal/bench"
-	"smtmlp/internal/core"
-	"smtmlp/internal/metrics"
+	"smtmlp/internal/campaign"
 	"smtmlp/internal/policy"
-	"smtmlp/internal/sim"
 )
 
 // GroupStats aggregates STP and ANTT over one workload class for one policy,
@@ -26,76 +24,40 @@ type PolicyComparison struct {
 	Policies  []string
 	Groups    []bench.WorkloadClass
 	ByGroup   map[bench.WorkloadClass][]GroupStats
-	Workloads []sim.WorkloadResult // every individual run, for Figures 11/12
+	Workloads []WorkloadIPC // every workload, in table order, for Figures 11/12
 }
 
-// comparePolicies fans workloads x kinds over the runner's batch pool (the
-// single-flight reference cache deduplicates the single-threaded references
-// without an explicit priming pass) and aggregates per class.
-func comparePolicies(ctx context.Context, r *sim.Runner, cfg core.Config, workloads []bench.Workload, kinds []policy.Kind, title string) PolicyComparison {
-	// Submit policy-major so the pool's first wave spans distinct
-	// workloads: each worker computes its own workload's single-threaded
-	// references (the single-flight cache dedupes the rest) instead of the
-	// whole pool queueing behind one reference at a workload boundary.
-	reqs := make([]sim.BatchRequest, 0, len(workloads)*len(kinds))
-	pos := make([]int, 0, len(workloads)*len(kinds)) // submission index -> workload-major slot
-	for ki, k := range kinds {
-		for wi, w := range workloads {
-			reqs = append(reqs, sim.BatchRequest{Config: cfg, Workload: w, Kind: k})
-			pos = append(pos, wi*len(kinds)+ki)
-		}
-	}
-	// results is workload-major: results[wi*len(kinds)+ki] holds workload
-	// wi under policy ki, as the aggregation below expects.
-	results, finished := collectBatch(ctx, r, reqs, pos)
+// WorkloadIPC is one workload's per-thread IPC under each policy of a
+// comparison, keyed by policy name (absent where the store holds no result).
+type WorkloadIPC struct {
+	Workload bench.Workload
+	IPC      map[string][]float64
+}
 
-	pc := PolicyComparison{
-		Title:     title,
-		ByGroup:   make(map[bench.WorkloadClass][]GroupStats),
-		Workloads: results,
-	}
-	for _, k := range kinds {
-		pc.Policies = append(pc.Policies, k.String())
-	}
-	for _, class := range []bench.WorkloadClass{bench.ILPWorkload, bench.MLPWorkload, bench.MixedWorkload} {
-		if len(bench.WorkloadsByClass(workloads, class)) == 0 {
-			continue
-		}
-		pc.Groups = append(pc.Groups, class)
-		for ki, k := range kinds {
-			var stps, antts []float64
-			for wi, w := range workloads {
-				if w.Class != class || !finished[wi*len(kinds)+ki] {
-					continue
-				}
-				res := results[wi*len(kinds)+ki]
-				stps = append(stps, res.STP)
-				antts = append(antts, res.ANTT)
-			}
-			pc.ByGroup[class] = append(pc.ByGroup[class], GroupStats{
-				Policy: k.String(),
-				STP:    metrics.HarmonicMean(stps),
-				ANTT:   metrics.ArithmeticMean(antts),
-			})
-		}
-	}
-	return pc
+// Figure9and10Spec is the two-thread policy comparison's grid: the Table II
+// workloads under the six fetch policies.
+func Figure9and10Spec() campaign.Spec {
+	return specOf("fig9-10", "two_thread", policy.Paper())
 }
 
 // Figure9and10 reproduces the two-thread policy comparison: STP (Figure 9)
 // and ANTT (Figure 10) for ILP-, MLP- and mixed-intensive workload groups
 // under the six fetch policies.
-func Figure9and10(ctx context.Context, r *sim.Runner) PolicyComparison {
-	return comparePolicies(ctx, r, core.DefaultConfig(2), bench.TwoThreadWorkloads(), policy.Paper(),
-		"Figures 9 & 10 — STP and ANTT, two-thread workloads")
+func (c *Campaigns) Figure9and10(ctx context.Context) (PolicyComparison, error) {
+	return c.compare(ctx, "Figures 9 & 10 — STP and ANTT, two-thread workloads", Figure9and10Spec())
+}
+
+// Figure13and14Spec is the four-thread policy comparison's grid: the
+// Table III workloads under the six fetch policies.
+func Figure13and14Spec() campaign.Spec {
+	return specOf("fig13-14", "four_thread", policy.Paper())
 }
 
 // Figure13and14 reproduces the four-thread policy comparison (Figures 13
 // and 14). The paper reports one average over all 30 workloads; the class
 // grouping (all-ILP / all-MLP / mixed) is also provided.
-func Figure13and14(ctx context.Context, r *sim.Runner) PolicyComparison {
-	return comparePolicies(ctx, r, core.DefaultConfig(4), bench.FourThreadWorkloads(), policy.Paper(),
-		"Figures 13 & 14 — STP and ANTT, four-thread workloads")
+func (c *Campaigns) Figure13and14(ctx context.Context) (PolicyComparison, error) {
+	return c.compare(ctx, "Figures 13 & 14 — STP and ANTT, four-thread workloads", Figure13and14Spec())
 }
 
 // String renders the group-averaged STP and ANTT tables.
@@ -140,16 +102,18 @@ func (pc PolicyComparison) IPCStacks(class bench.WorkloadClass) string {
 		Header: []string{"workload", "thread"},
 	}
 	tbl.Header = append(tbl.Header, pc.Policies...)
-	np := len(pc.Policies)
-	for wi := 0; wi*np < len(pc.Workloads); wi++ {
-		w := pc.Workloads[wi*np].Workload
-		if w.Class != class {
+	for _, w := range pc.Workloads {
+		if w.Workload.Class != class {
 			continue
 		}
-		for t, b := range w.Benchmarks {
-			row := []string{w.Name(), fmt.Sprintf("%d:%s", t, b)}
-			for ki := range pc.Policies {
-				row = append(row, f3(pc.Workloads[wi*np+ki].Result.IPC[t]))
+		for t, b := range w.Workload.Benchmarks {
+			row := []string{w.Workload.Name(), fmt.Sprintf("%d:%s", t, b)}
+			for _, p := range pc.Policies {
+				if ipc := w.IPC[p]; t < len(ipc) {
+					row = append(row, f3(ipc[t]))
+				} else {
+					row = append(row, "-")
+				}
 			}
 			tbl.AddRow(row...)
 		}

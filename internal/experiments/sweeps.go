@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"smtmlp/internal/bench"
-	"smtmlp/internal/core"
-	"smtmlp/internal/metrics"
+	"smtmlp/internal/campaign"
 	"smtmlp/internal/policy"
-	"smtmlp/internal/sim"
 )
 
 // SweepPoint aggregates all two-thread workloads for one configuration point
@@ -28,81 +25,34 @@ type SweepResult struct {
 	Points map[string][]SweepPoint // label -> per-policy stats
 }
 
-// sweep runs all two-thread workloads under every paper policy at each
-// configuration point. The whole configs x workloads x policies
-// cross-product goes through one batch, so the worker pool stays saturated
-// across configuration points and the reference cache deduplicates each
-// point's single-threaded references.
-func sweep(ctx context.Context, r *sim.Runner, title string, labels []string, configs []core.Config, workloads []bench.Workload) SweepResult {
-	kinds := policy.Paper()
-	out := SweepResult{Title: title, Labels: labels, Points: make(map[string][]SweepPoint)}
-
-	// Submit policy-major so the pool's first wave spans distinct
-	// (config, workload) pairs, computing their single-threaded references
-	// in parallel instead of queueing behind one reference per boundary.
-	perPoint := len(workloads) * len(kinds)
-	reqs := make([]sim.BatchRequest, 0, len(configs)*perPoint)
-	pos := make([]int, 0, len(configs)*perPoint) // submission index -> point-major slot
-	for ki, k := range kinds {
-		for li, cfg := range configs {
-			for wi, w := range workloads {
-				reqs = append(reqs, sim.BatchRequest{Config: cfg, Workload: w, Kind: k})
-				pos = append(pos, li*perPoint+wi*len(kinds)+ki)
-			}
-		}
-	}
-	// results is point-major: results[li*perPoint+wi*len(kinds)+ki].
-	results, finished := collectBatch(ctx, r, reqs, pos)
-
-	for li := range configs {
-		for ki, k := range kinds {
-			var stps, antts []float64
-			for wi := range workloads {
-				if !finished[li*perPoint+wi*len(kinds)+ki] {
-					continue
-				}
-				res := results[li*perPoint+wi*len(kinds)+ki]
-				stps = append(stps, res.STP)
-				antts = append(antts, res.ANTT)
-			}
-			out.Points[labels[li]] = append(out.Points[labels[li]], SweepPoint{
-				Label:  labels[li],
-				Policy: k.String(),
-				STP:    metrics.HarmonicMean(stps),
-				ANTT:   metrics.ArithmeticMean(antts),
-			})
-		}
-	}
-	return out
+// Figure15and16Spec is the main-memory latency sweep's grid: all Table II
+// workloads under the six fetch policies at 200-800 cycles.
+func Figure15and16Spec() campaign.Spec {
+	spec := specOf("fig15-16", "two_thread", policy.Paper())
+	spec.Grid.MemLatencies = []int64{200, 400, 600, 800}
+	return spec
 }
 
 // Figure15and16 reproduces the main-memory latency sweep: STP (Figure 15)
 // and ANTT (Figure 16) across 200-800 cycles, all two-thread workloads.
-func Figure15and16(ctx context.Context, r *sim.Runner) SweepResult {
-	var labels []string
-	var configs []core.Config
-	for _, lat := range []int64{200, 400, 600, 800} {
-		cfg := core.DefaultConfig(2)
-		cfg.Mem.MemLatency = lat
-		labels = append(labels, fmt.Sprintf("mem=%d", lat))
-		configs = append(configs, cfg)
-	}
-	return sweep(ctx, r, "Figures 15 & 16 — STP and ANTT vs main memory access latency (two-thread workloads)",
-		labels, configs, bench.TwoThreadWorkloads())
+func (c *Campaigns) Figure15and16(ctx context.Context) (SweepResult, error) {
+	return c.sweep(ctx, "Figures 15 & 16 — STP and ANTT vs main memory access latency (two-thread workloads)",
+		Figure15and16Spec())
 }
 
-// Figure17and18 reproduces the window size sweep: ROB 128-1024 with the
+// Figure17and18Spec is the window size sweep's grid: ROB 128-1024 with the
 // LSQ, issue queues and rename registers scaled proportionally.
-func Figure17and18(ctx context.Context, r *sim.Runner) SweepResult {
-	var labels []string
-	var configs []core.Config
-	for _, rob := range []int{128, 256, 512, 1024} {
-		cfg := core.DefaultConfig(2).ScaleWindow(rob)
-		labels = append(labels, fmt.Sprintf("rob=%d", rob))
-		configs = append(configs, cfg)
-	}
-	return sweep(ctx, r, "Figures 17 & 18 — STP and ANTT vs processor window size (two-thread workloads)",
-		labels, configs, bench.TwoThreadWorkloads())
+func Figure17and18Spec() campaign.Spec {
+	spec := specOf("fig17-18", "two_thread", policy.Paper())
+	spec.Grid.ROBSizes = []int{128, 256, 512, 1024}
+	return spec
+}
+
+// Figure17and18 reproduces the window size sweep: STP (Figure 17) and ANTT
+// (Figure 18), all two-thread workloads.
+func (c *Campaigns) Figure17and18(ctx context.Context) (SweepResult, error) {
+	return c.sweep(ctx, "Figures 17 & 18 — STP and ANTT vs processor window size (two-thread workloads)",
+		Figure17and18Spec())
 }
 
 // String renders the sweep as two tables (STP, then ANTT), policies as

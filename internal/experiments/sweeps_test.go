@@ -7,6 +7,7 @@ import (
 
 	"smtmlp/internal/bench"
 	"smtmlp/internal/core"
+	"smtmlp/internal/policy"
 )
 
 // smallWorkloads returns a reduced Table II subset covering all classes.
@@ -16,12 +17,12 @@ func smallWorkloads() []bench.Workload {
 }
 
 func TestSweepStructure(t *testing.T) {
-	r := tinyRunner()
-	cfgA := core.DefaultConfig(2)
-	cfgB := core.DefaultConfig(2)
-	cfgB.Mem.MemLatency = 700
-	res := sweep(context.Background(), r, "test sweep", []string{"mem=350", "mem=700"},
-		[]core.Config{cfgA, cfgB}, smallWorkloads())
+	spec := mixesSpec(smallWorkloads(), policy.Paper())
+	spec.Grid.MemLatencies = []int64{350, 700}
+	res, err := tinyCampaigns(t).sweep(context.Background(), "test sweep", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if len(res.Labels) != 2 {
 		t.Fatalf("labels %v", res.Labels)
@@ -46,25 +47,24 @@ func TestSweepStructure(t *testing.T) {
 }
 
 func TestSweepLatencyHurtsThroughput(t *testing.T) {
-	r := tinyRunner()
-	fast := core.DefaultConfig(2)
-	fast.Mem.MemLatency = 150
-	slow := core.DefaultConfig(2)
-	slow.Mem.MemLatency = 800
-	res := sweep(context.Background(), r, "lat", []string{"fast", "slow"},
-		[]core.Config{fast, slow}, smallWorkloads())
+	spec := mixesSpec(smallWorkloads(), policy.Paper())
+	spec.Grid.MemLatencies = []int64{150, 800}
+	res, err := tinyCampaigns(t).sweep(context.Background(), "lat", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Raw throughput (IPC-level) degrades with latency; STP is normalized
 	// against matching single-thread references, so instead verify the
 	// ANTT of the memory-sensitive group did not improbably improve for the
 	// ICOUNT baseline.
 	var fastICount, slowICount SweepPoint
-	for _, p := range res.Points["fast"] {
+	for _, p := range res.Points["mem=150"] {
 		if p.Policy == "icount" {
 			fastICount = p
 		}
 	}
-	for _, p := range res.Points["slow"] {
+	for _, p := range res.Points["mem=800"] {
 		if p.Policy == "icount" {
 			slowICount = p
 		}
@@ -83,25 +83,31 @@ func TestWindowScalingConfigs(t *testing.T) {
 }
 
 func TestPartitioningSubset(t *testing.T) {
-	r := tinyRunner()
-	rows := runPartitioning(context.Background(), r, core.DefaultConfig(2), smallWorkloads())
-	// 3 classes x 3 schemes.
-	if len(rows) != 9 {
-		t.Fatalf("partitioning rows %d, want 9", len(rows))
+	pc, err := tinyCampaigns(t).compare(context.Background(), "", mixesSpec(smallWorkloads(), partitioning))
+	if err != nil {
+		t.Fatal(err)
 	}
+	// 3 classes x 3 schemes.
+	rows := 0
 	schemes := map[string]bool{}
-	for _, row := range rows {
-		if row.STP <= 0 || row.ANTT <= 0 {
-			t.Fatalf("bad row %+v", row)
+	for _, g := range pc.Groups {
+		for _, row := range pc.ByGroup[g] {
+			if row.STP <= 0 || row.ANTT <= 0 {
+				t.Fatalf("bad row %+v", row)
+			}
+			schemes[row.Policy] = true
+			rows++
 		}
-		schemes[row.Scheme] = true
+	}
+	if rows != 9 {
+		t.Fatalf("partitioning rows %d, want 9", rows)
 	}
 	for _, s := range []string{"mlpflush", "static", "dcra"} {
 		if !schemes[s] {
 			t.Fatalf("scheme %s missing", s)
 		}
 	}
-	res := PartitioningResult{TwoThread: rows, FourThread: rows}
+	res := PartitioningResult{TwoThread: pc, FourThread: pc}
 	out := res.String()
 	for _, want := range []string{"static", "dcra", "mlpflush", "two-thread", "four-thread"} {
 		if !strings.Contains(out, want) {
@@ -111,8 +117,10 @@ func TestPartitioningSubset(t *testing.T) {
 }
 
 func TestAlternativesSubset(t *testing.T) {
-	r := tinyRunner()
-	pc := comparePolicies(context.Background(), r, core.DefaultConfig(2), smallWorkloads(), altKinds(), "alts")
+	pc, err := tinyCampaigns(t).compare(context.Background(), "alts", mixesSpec(smallWorkloads(), policy.Alternatives()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pc.Policies) != 5 {
 		t.Fatalf("alternative policies %v", pc.Policies)
 	}

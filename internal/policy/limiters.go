@@ -14,30 +14,30 @@ func (StaticPartition) Name() string { return "static" }
 
 // MayDispatch implements core.Limiter.
 func (StaticPartition) MayDispatch(c *core.Core, tid int, u *core.Uop) bool {
-	cfg := c.Cfg()
 	n := c.Threads()
+	return withinShare(c, tid, u, u.In.Class.IsFP() || isFPDest(u), func(total int) int { return total / n })
+}
+
+// withinShare reports whether thread tid may dispatch u without holding
+// more than share(total) entries of any buffer resource u needs: the ROB,
+// the LSQ for memory ops, the issue queue of u's class and, when u writes a
+// register, the integer or (fpRename) FP rename registers.
+func withinShare(c *core.Core, tid int, u *core.Uop, fpRename bool, share func(total int) int) bool {
+	cfg := c.Cfg()
 	rob, lsq, iqInt, iqFP, renInt, renFP := c.ThreadResources(tid)
-	if rob >= cfg.ROBSize/n {
+	switch {
+	case rob >= share(cfg.ROBSize):
 		return false
-	}
-	if u.In.Class.IsMem() && lsq >= cfg.LSQSize/n {
+	case u.In.Class.IsMem() && lsq >= share(cfg.LSQSize):
 		return false
-	}
-	if u.In.Class.IsFP() {
-		if iqFP >= cfg.IQFP/n {
-			return false
-		}
-	} else if iqInt >= cfg.IQInt/n {
+	case u.In.Class.IsFP() && iqFP >= share(cfg.IQFP):
 		return false
-	}
-	if u.In.HasDest() {
-		if u.In.Class.IsFP() || isFPDest(u) {
-			if renFP >= cfg.RenameFP/n {
-				return false
-			}
-		} else if renInt >= cfg.RenameInt/n {
-			return false
-		}
+	case !u.In.Class.IsFP() && iqInt >= share(cfg.IQInt):
+		return false
+	case u.In.HasDest() && fpRename:
+		return renFP < share(cfg.RenameFP)
+	case u.In.HasDest():
+		return renInt < share(cfg.RenameInt)
 	}
 	return true
 }
@@ -86,37 +86,5 @@ func (d DCRA) MayDispatch(c *core.Core, tid int, u *core.Uop) bool {
 		}
 	}
 
-	cfg := c.Cfg()
-	cap := func(total int) int {
-		v := total * myWeight / totalWeight
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-
-	rob, lsq, iqInt, iqFP, renInt, renFP := c.ThreadResources(tid)
-	if rob >= cap(cfg.ROBSize) {
-		return false
-	}
-	if u.In.Class.IsMem() && lsq >= cap(cfg.LSQSize) {
-		return false
-	}
-	if u.In.Class.IsFP() {
-		if iqFP >= cap(cfg.IQFP) {
-			return false
-		}
-	} else if iqInt >= cap(cfg.IQInt) {
-		return false
-	}
-	if u.In.HasDest() {
-		if isFPDest(u) {
-			if renFP >= cap(cfg.RenameFP) {
-				return false
-			}
-		} else if renInt >= cap(cfg.RenameInt) {
-			return false
-		}
-	}
-	return true
+	return withinShare(c, tid, u, isFPDest(u), func(total int) int { return max(total*myWeight/totalWeight, 1) })
 }

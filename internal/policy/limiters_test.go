@@ -143,14 +143,19 @@ func TestDCRADefaultSlowWeight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full simulations; skipped in -short")
 	}
-	r := sim.NewRunner(sim.Params{Instructions: 6_000, Warmup: 1_500, Parallelism: 1})
-	cfg := core.DefaultConfig(2)
-	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}}
-	def := r.RunWorkload(cfg, w, policy.ICount, policy.DCRA{})
-	explicit := r.RunWorkload(cfg, w, policy.ICount, policy.DCRA{SlowWeight: 2})
-	if def.Result.Cycles != explicit.Result.Cycles || def.STP != explicit.STP {
-		t.Fatalf("DCRA{} (cycles=%d STP=%v) differs from SlowWeight:2 (cycles=%d STP=%v)",
-			def.Result.Cycles, def.STP, explicit.Result.Cycles, explicit.STP)
+	run := func(lim core.Limiter) core.Result {
+		models := []trace.Model{bench.MustGet("mcf").Model, bench.MustGet("galgel").Model}
+		c := core.New(core.DefaultConfig(2), models, policy.New(policy.ICount), lim)
+		c.Run(1_500)
+		c.ResetStats()
+		return c.Run(6_000)
+	}
+	if policy.Limiter(policy.DynamicAllocation) != (policy.DCRA{}) {
+		t.Fatal("the dcra kind does not select the zero-value DCRA limiter")
+	}
+	def, explicit := run(policy.DCRA{}), run(policy.DCRA{SlowWeight: 2})
+	if def.Cycles != explicit.Cycles || def.Committed[0] != explicit.Committed[0] {
+		t.Fatalf("DCRA{} (cycles=%d) differs from SlowWeight:2 (cycles=%d)", def.Cycles, explicit.Cycles)
 	}
 }
 
@@ -167,14 +172,14 @@ func TestStaticPartitionBoundsOccupancy(t *testing.T) {
 	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}}
 	share := float64(cfg.ROBSize / 2)
 
-	limited := r.RunWorkload(cfg, w, policy.ICount, policy.StaticPartition{})
+	limited := r.RunWorkload(cfg, w, policy.Static)
 	exceeded := false
 	for tid, occ := range limited.Result.AvgROBOccupancy {
 		if occ > share {
 			t.Fatalf("thread %d mean ROB occupancy %.1f exceeds the static share %.0f", tid, occ, share)
 		}
 	}
-	free := r.RunWorkload(cfg, w, policy.ICount, nil)
+	free := r.RunWorkload(cfg, w, policy.ICount)
 	for _, occ := range free.Result.AvgROBOccupancy {
 		if occ > share {
 			exceeded = true

@@ -1,6 +1,6 @@
 // Package policy implements every SMT fetch policy the paper evaluates
 // (Sections 4.3 and 6.5) and the explicit resource partitioning schemes it
-// compares against (Section 6.6):
+// compares against (Section 6.6), all selectable by name as a Kind:
 //
 //	icount       — ICOUNT 2.4 baseline (Tullsen et al.), no gating
 //	stall        — fetch stall on a detected long-latency load
@@ -19,6 +19,14 @@
 //	               initial load on a resource-stall cycle
 //	binflush-rs  — alternative (e): binary MLP predictor, flush past the
 //	               initial load on a resource-stall cycle
+//	static       — ICOUNT fetch under static resource partitioning: each of
+//	               n threads owns 1/n of every buffer (Section 6.6)
+//	dcra         — ICOUNT fetch under dynamically controlled resource
+//	               allocation (Cazorla et al., Section 6.6)
+//
+// A kind is a fetch policy (New) plus, for static and dcra, a dispatch-time
+// resource limiter (Limiter); together they fully describe a core's
+// thread-management scheme.
 //
 // All long-latency-aware policies implement the continue-oldest-thread (COT)
 // mechanism of Cazorla et al.: when every thread is stalled on a
@@ -48,6 +56,8 @@ const (
 	BinaryFlush        // Section 6.5 alternative (c)
 	MLPFlushAtStall    // Section 6.5 alternative (d)
 	BinaryFlushAtStall // Section 6.5 alternative (e)
+	Static             // Section 6.6 static resource partitioning
+	DynamicAllocation  // Section 6.6 DCRA
 	numKinds
 )
 
@@ -85,6 +95,10 @@ func (k Kind) String() string {
 		return "mlpflush-rs"
 	case BinaryFlushAtStall:
 		return "binflush-rs"
+	case Static:
+		return "static"
+	case DynamicAllocation:
+		return "dcra"
 	default:
 		return fmt.Sprintf("policy(%d)", int(k))
 	}
@@ -133,11 +147,12 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// New returns a fresh policy instance of the given kind. Instances carry
-// per-run state and must not be shared between cores.
+// New returns a fresh fetch policy instance of the given kind (ICOUNT for
+// the partitioning kinds, whose resource management is their Limiter).
+// Instances carry per-run state and must not be shared between cores.
 func New(k Kind) core.Policy {
 	switch k {
-	case ICount:
+	case ICount, Static, DynamicAllocation:
 		return core.ICount{}
 	case Stall:
 		return &llPolicy{kind: k, onDetect: true}
@@ -157,6 +172,20 @@ func New(k Kind) core.Policy {
 		return &llPolicy{kind: k, onDetect: true, useBinary: true, flushOnTrigger: true, flushAtResourceStall: true}
 	default:
 		panic(fmt.Sprintf("policy: unknown kind %d", int(k)))
+	}
+}
+
+// Limiter returns the dispatch-time resource limiter of the given kind:
+// StaticPartition for static, DCRA for dcra, nil for every fetch-policy
+// kind (those share all resources and manage them by gating fetch).
+func Limiter(k Kind) core.Limiter {
+	switch k {
+	case Static:
+		return StaticPartition{}
+	case DynamicAllocation:
+		return DCRA{}
+	default:
+		return nil
 	}
 }
 

@@ -25,12 +25,18 @@ func TestKindStrings(t *testing.T) {
 		ICount: "icount", Stall: "stall", PredStall: "pstall", MLPStall: "mlpstall",
 		Flush: "flush", MLPFlush: "mlpflush", BinaryFlush: "binflush",
 		MLPFlushAtStall: "mlpflush-rs", BinaryFlushAtStall: "binflush-rs",
+		Static: "static", DynamicAllocation: "dcra",
 	}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), s)
 		}
-		if New(k).Name() != s {
+		if lim := Limiter(k); lim != nil {
+			// Partitioning kinds fetch under ICOUNT; the limiter names them.
+			if lim.Name() != s || New(k).Name() != "icount" {
+				t.Errorf("%s: limiter %q, fetch policy %q", s, lim.Name(), New(k).Name())
+			}
+		} else if New(k).Name() != s {
 			t.Errorf("New(%s).Name() = %q", s, New(k).Name())
 		}
 	}
@@ -38,8 +44,8 @@ func TestKindStrings(t *testing.T) {
 
 func TestParseRoundTrip(t *testing.T) {
 	kinds := Kinds()
-	if len(kinds) != 9 {
-		t.Fatalf("Kinds() has %d entries, want 9", len(kinds))
+	if len(kinds) != 11 {
+		t.Fatalf("Kinds() has %d entries, want 11", len(kinds))
 	}
 	for _, k := range kinds {
 		got, err := Parse(k.String())

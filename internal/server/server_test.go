@@ -97,8 +97,8 @@ func TestDiscoveryEndpoints(t *testing.T) {
 
 	var pol server.PoliciesResponse
 	decodeInto(t, get(t, srv, "/v1/policies"), &pol)
-	if len(pol.Policies) != 9 || len(pol.Paper) != 6 {
-		t.Fatalf("policies %d / paper %d, want 9 / 6", len(pol.Policies), len(pol.Paper))
+	if len(pol.Policies) != 11 || len(pol.Paper) != 6 {
+		t.Fatalf("policies %d / paper %d, want 11 / 6", len(pol.Policies), len(pol.Paper))
 	}
 	if pol.Paper[0] != "icount" || pol.Paper[5] != "mlpflush" {
 		t.Fatalf("paper policies out of order: %v", pol.Paper)

@@ -10,14 +10,13 @@ import (
 )
 
 // BatchRequest is one multiprogrammed simulation in a batch: a configuration
-// point, a workload, a fetch policy and an optional resource limiter. Tag is
-// caller-chosen and echoed on the result.
+// point, a workload and a policy kind. Tag is caller-chosen and echoed on
+// the result.
 type BatchRequest struct {
 	Tag      string
 	Config   core.Config
 	Workload bench.Workload
 	Kind     policy.Kind
-	Limiter  core.Limiter
 	// TraceInterval > 0 enables interval tracing for this request alone;
 	// 0 inherits the runner's Params.TraceInterval.
 	TraceInterval int64
@@ -70,7 +69,7 @@ func (r *Runner) RunBatch(ctx context.Context, reqs []BatchRequest) <-chan Batch
 					if every == 0 {
 						every = r.Params.TraceInterval
 					}
-					br.Res, br.Err = r.RunWorkloadTracedCtx(ctx, req.Config, req.Workload, req.Kind, req.Limiter, every)
+					br.Res, br.Err = r.RunWorkloadTracedCtx(ctx, req.Config, req.Workload, req.Kind, every)
 				}
 				r.queued.Add(-1)
 				out <- br

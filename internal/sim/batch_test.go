@@ -51,7 +51,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 
 	seq := NewRunner(Params{Instructions: 10_000, Warmup: 2_500})
 	for i, req := range reqs {
-		want := seq.RunWorkload(req.Config, req.Workload, req.Kind, req.Limiter)
+		want := seq.RunWorkload(req.Config, req.Workload, req.Kind)
 		if got[i].STP != want.STP || got[i].ANTT != want.ANTT || got[i].Result.Cycles != want.Result.Cycles {
 			t.Fatalf("request %d (%s under %s): batch STP=%v ANTT=%v, sequential STP=%v ANTT=%v",
 				i, req.Workload.Name(), req.Kind, got[i].STP, got[i].ANTT, want.STP, want.ANTT)
@@ -143,17 +143,17 @@ func TestSharedCacheAcrossRunners(t *testing.T) {
 
 	shared := NewRefCache(16)
 	a := NewRunnerWithCache(p, shared)
-	warmRes := a.RunWorkload(cfg, w, policy.MLPFlush, nil)
+	warmRes := a.RunWorkload(cfg, w, policy.MLPFlush)
 	_, missesAfterA, _ := shared.Stats()
 
 	b := NewRunnerWithCache(p, shared)
-	sharedRes := b.RunWorkload(cfg, w, policy.MLPFlush, nil)
+	sharedRes := b.RunWorkload(cfg, w, policy.MLPFlush)
 	_, missesAfterB, _ := shared.Stats()
 	if missesAfterB != missesAfterA {
 		t.Fatalf("second runner recomputed references: misses %d -> %d", missesAfterA, missesAfterB)
 	}
 
-	cold := NewRunner(p).RunWorkload(cfg, w, policy.MLPFlush, nil)
+	cold := NewRunner(p).RunWorkload(cfg, w, policy.MLPFlush)
 	if sharedRes.STP != cold.STP || sharedRes.ANTT != cold.ANTT {
 		t.Fatalf("shared-cache result STP=%v ANTT=%v differs from cold STP=%v ANTT=%v",
 			sharedRes.STP, sharedRes.ANTT, cold.STP, cold.ANTT)

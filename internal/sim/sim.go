@@ -68,8 +68,6 @@ func (p Params) EffectiveWarmup() uint64 {
 	return p.Instructions / 4
 }
 
-func (p Params) warmup() uint64 { return p.EffectiveWarmup() }
-
 func (p Params) workers() int {
 	if p.Parallelism > 0 {
 		return p.Parallelism
@@ -202,15 +200,9 @@ func (r *Runner) RunSingleCtx(ctx context.Context, cfg core.Config, benchmark st
 	return res, err
 }
 
-// RunSingleCore is RunSingle but also returns the core, so characterization
-// experiments can read predictor state (MLP distance histograms, accuracy
-// counters) after the run.
-func (r *Runner) RunSingleCore(cfg core.Config, benchmark string) (*core.Core, core.Result) {
-	c, res, _ := r.RunSingleCoreCtx(context.Background(), cfg, benchmark)
-	return c, res
-}
-
-// RunSingleCoreCtx is RunSingleCore under a context.
+// RunSingleCoreCtx is RunSingleCtx but also returns the core, so
+// characterization experiments can read predictor state (MLP distance
+// histograms, accuracy counters) after the run.
 func (r *Runner) RunSingleCoreCtx(ctx context.Context, cfg core.Config, benchmark string) (*core.Core, core.Result, error) {
 	return r.runSingleCore(ctx, cfg, benchmark, r.Params.TraceInterval)
 }
@@ -234,7 +226,7 @@ func (r *Runner) runWarm(c *core.Core, traceEvery int64) core.Result {
 	if traceEvery > 0 {
 		c.EnableIntervalTrace(traceEvery)
 	}
-	if w := r.Params.warmup(); w > 0 {
+	if w := r.Params.EffectiveWarmup(); w > 0 {
 		c.Run(w)
 		c.ResetStats()
 	}
@@ -252,7 +244,7 @@ func (r *Runner) STReference(cfg core.Config, benchmark string) *STProfile {
 // any Runner sharing the cache) requesting the same reference share one
 // simulation.
 func (r *Runner) STReferenceCtx(ctx context.Context, cfg core.Config, benchmark string) (*STProfile, error) {
-	key := RefKey(cfg, benchmark, r.Params.Instructions, r.Params.warmup())
+	key := RefKey(cfg, benchmark, r.Params.Instructions, r.Params.EffectiveWarmup())
 	return r.refs.getOrCompute(ctx, key, func(ctx context.Context) (*STProfile, error) {
 		// References never trace (traceEvery 0): their bytes are cached and
 		// persisted under keys that exclude the trace knob.
@@ -275,25 +267,26 @@ type WorkloadResult struct {
 	PerThread []metrics.ThreadPerf
 }
 
-// RunWorkload simulates the workload under the given fetch policy kind and
-// optional limiter, computing STP and ANTT against cached single-threaded
-// references at matched instruction counts.
-func (r *Runner) RunWorkload(cfg core.Config, w bench.Workload, kind policy.Kind, limiter core.Limiter) WorkloadResult {
-	res, _ := r.RunWorkloadCtx(context.Background(), cfg, w, kind, limiter)
+// RunWorkload simulates the workload under the given policy kind (a fetch
+// policy, or a resource partitioning scheme — see policy.Limiter),
+// computing STP and ANTT against cached single-threaded references at
+// matched instruction counts.
+func (r *Runner) RunWorkload(cfg core.Config, w bench.Workload, kind policy.Kind) WorkloadResult {
+	res, _ := r.RunWorkloadCtx(context.Background(), cfg, w, kind)
 	return res
 }
 
 // RunWorkloadCtx is RunWorkload under a context: it refuses to start once
 // ctx is done and propagates cancellation encountered while resolving the
 // single-threaded references.
-func (r *Runner) RunWorkloadCtx(ctx context.Context, cfg core.Config, w bench.Workload, kind policy.Kind, limiter core.Limiter) (WorkloadResult, error) {
-	return r.RunWorkloadTracedCtx(ctx, cfg, w, kind, limiter, r.Params.TraceInterval)
+func (r *Runner) RunWorkloadCtx(ctx context.Context, cfg core.Config, w bench.Workload, kind policy.Kind) (WorkloadResult, error) {
+	return r.RunWorkloadTracedCtx(ctx, cfg, w, kind, r.Params.TraceInterval)
 }
 
 // RunWorkloadTracedCtx is RunWorkloadCtx with an explicit interval-trace
 // setting for this one simulation (0 disables tracing regardless of the
 // runner's Params.TraceInterval).
-func (r *Runner) RunWorkloadTracedCtx(ctx context.Context, cfg core.Config, w bench.Workload, kind policy.Kind, limiter core.Limiter, traceEvery int64) (WorkloadResult, error) {
+func (r *Runner) RunWorkloadTracedCtx(ctx context.Context, cfg core.Config, w bench.Workload, kind policy.Kind, traceEvery int64) (WorkloadResult, error) {
 	if err := ctx.Err(); err != nil {
 		return WorkloadResult{}, err
 	}
@@ -304,14 +297,10 @@ func (r *Runner) RunWorkloadTracedCtx(ctx context.Context, cfg core.Config, w be
 		}
 		defer release()
 	}
-	c := core.New(cfg, models(w.Benchmarks), policy.New(kind), limiter)
+	c := core.New(cfg, models(w.Benchmarks), policy.New(kind), policy.Limiter(kind))
 	res := r.runWarm(c, traceEvery)
 
-	name := kind.String()
-	if limiter != nil {
-		name = limiter.Name()
-	}
-	out := WorkloadResult{Workload: w, Policy: name, Result: res}
+	out := WorkloadResult{Workload: w, Policy: kind.String(), Result: res}
 	for i, b := range w.Benchmarks {
 		ref, err := r.STReferenceCtx(ctx, cfg, b)
 		if err != nil {
@@ -360,22 +349,4 @@ func (r *Runner) Parallel(jobs []Job) {
 	}
 	close(ch)
 	wg.Wait()
-}
-
-// PrimeSTReferences precomputes single-threaded references for the given
-// benchmarks in parallel. With the single-flight cache this is an
-// optimization, not a requirement: unprimed batch runs deduplicate the
-// reference simulations on their own.
-func (r *Runner) PrimeSTReferences(cfg core.Config, benchmarks []string) {
-	seen := map[string]bool{}
-	var jobs []Job
-	for _, b := range benchmarks {
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		b := b
-		jobs = append(jobs, func() { r.STReference(cfg, b) })
-	}
-	r.Parallel(jobs)
 }

@@ -20,11 +20,11 @@ func TestDefaultParams(t *testing.T) {
 	if r.Params.Instructions == 0 {
 		t.Fatal("zero params not defaulted")
 	}
-	if r.Params.warmup() != r.Params.Instructions/4 {
+	if r.Params.EffectiveWarmup() != r.Params.Instructions/4 {
 		t.Fatal("default warmup is not budget/4")
 	}
 	p := Params{Instructions: 100, Warmup: 7}
-	if p.warmup() != 7 {
+	if p.EffectiveWarmup() != 7 {
 		t.Fatal("explicit warmup ignored")
 	}
 }
@@ -109,7 +109,7 @@ func TestCPIAtInterpolation(t *testing.T) {
 func TestRunWorkloadMetricsConsistent(t *testing.T) {
 	r := testRunner()
 	w := bench.Workload{Benchmarks: []string{"swim", "twolf"}}
-	res := r.RunWorkload(core.DefaultConfig(2), w, policy.MLPFlush, nil)
+	res := r.RunWorkload(core.DefaultConfig(2), w, policy.MLPFlush)
 	if res.STP <= 0 || res.STP > 2 {
 		t.Fatalf("STP %v out of (0, 2] for a 2-thread workload", res.STP)
 	}
@@ -135,9 +135,9 @@ func TestRunWorkloadMetricsConsistent(t *testing.T) {
 func TestRunWorkloadWithLimiter(t *testing.T) {
 	r := testRunner()
 	w := bench.Workload{Benchmarks: []string{"swim", "twolf"}}
-	res := r.RunWorkload(core.DefaultConfig(2), w, policy.ICount, policy.StaticPartition{})
+	res := r.RunWorkload(core.DefaultConfig(2), w, policy.Static)
 	if res.Policy != "static" {
-		t.Fatalf("policy label %q, want limiter name", res.Policy)
+		t.Fatalf("policy label %q, want the partitioning kind's name", res.Policy)
 	}
 	if res.STP <= 0 {
 		t.Fatal("bad STP under limiter")
@@ -166,19 +166,10 @@ func TestParallelSequentialFallback(t *testing.T) {
 	}
 }
 
-func TestPrimeSTReferences(t *testing.T) {
-	r := testRunner()
-	cfg := core.DefaultConfig(2)
-	r.PrimeSTReferences(cfg, []string{"gcc", "gcc", "twolf"})
-	if n := r.Refs().Len(); n != 2 {
-		t.Fatalf("cache has %d entries, want 2 (deduplicated)", n)
-	}
-}
-
 func TestDeterministicAcrossRunners(t *testing.T) {
 	w := bench.Workload{Benchmarks: []string{"swim", "twolf"}}
-	a := testRunner().RunWorkload(core.DefaultConfig(2), w, policy.Flush, nil)
-	b := testRunner().RunWorkload(core.DefaultConfig(2), w, policy.Flush, nil)
+	a := testRunner().RunWorkload(core.DefaultConfig(2), w, policy.Flush)
+	b := testRunner().RunWorkload(core.DefaultConfig(2), w, policy.Flush)
 	if a.STP != b.STP || a.ANTT != b.ANTT || a.Result.Cycles != b.Result.Cycles {
 		t.Fatalf("non-deterministic workload run: %v/%v vs %v/%v", a.STP, a.ANTT, b.STP, b.ANTT)
 	}

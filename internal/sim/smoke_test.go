@@ -30,7 +30,7 @@ func TestSmokeTwoThread(t *testing.T) {
 	r := NewRunner(Params{Instructions: 30_000})
 	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}, Class: bench.MLPWorkload}
 	for _, k := range policy.Paper() {
-		res := r.RunWorkload(core.DefaultConfig(2), w, k, nil)
+		res := r.RunWorkload(core.DefaultConfig(2), w, k)
 		if res.STP <= 0 || res.ANTT <= 0 {
 			t.Fatalf("%s: bad metrics STP=%.3f ANTT=%.3f", k, res.STP, res.ANTT)
 		}

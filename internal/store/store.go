@@ -53,13 +53,24 @@ type Record struct {
 	Result      smtmlp.WorkloadResult `json:"result"`
 }
 
+// logFile is the results log as the store writes it: an *os.File opened for
+// appending, or a fault-injecting wrapper in tests.
+type logFile interface {
+	io.Writer
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // Store is an open result store. See the package comment for the layout.
 type Store struct {
 	dir string
 	log *slog.Logger
 
 	mu      sync.Mutex
-	results *os.File
+	results logFile
+	size    int64          // end of the last complete line in results
+	broken  error          // set when a failed write could not be rolled back
 	index   map[string]int // fingerprint -> position in records
 	records []Record       // append order
 	refs    map[string]sim.RefRecord
@@ -96,7 +107,7 @@ func OpenWithLogger(dir string, log *slog.Logger) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, resultsFile), os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, resultsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -157,10 +168,33 @@ func (s *Store) loadResults() error {
 		s.log.Warn("truncated torn results tail",
 			"file", resultsFile, "dropped_bytes", len(data)-good)
 	}
-	if _, err := s.results.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	s.size = int64(good)
 	return nil
+}
+
+// write appends whole lines to the results log. A failed or short write
+// (ENOSPC, EIO, ...) is rolled back: the log is truncated to the end of the
+// last complete line, so the next append does not land behind partial
+// bytes that would make the next Open fail on a corrupt record mid-file. If
+// the rollback fails too, the store fails closed: every later append
+// returns the error.
+func (s *Store) write(lines []byte) error {
+	if s.broken != nil {
+		return s.broken
+	}
+	n, err := s.results.Write(lines)
+	if err == nil && n < len(lines) {
+		err = io.ErrShortWrite
+	}
+	if err == nil {
+		s.size += int64(n)
+		return nil
+	}
+	if terr := s.results.Truncate(s.size); terr != nil {
+		s.broken = fmt.Errorf("store: results log unusable after a failed write (%v): %w", err, terr)
+		return s.broken
+	}
+	return fmt.Errorf("store: %w", err)
 }
 
 // loadRefs reads the reference snapshot; malformed content is ignored.
@@ -226,8 +260,8 @@ func (s *Store) Append(rec Record) (bool, error) {
 		s.dedupeHits++
 		return false, nil
 	}
-	if _, err := s.results.Write(line); err != nil {
-		return false, fmt.Errorf("store: %w", err)
+	if err := s.write(line); err != nil {
+		return false, err
 	}
 	s.index[rec.Fingerprint] = len(s.records)
 	s.records = append(s.records, rec)
@@ -275,8 +309,8 @@ func (s *Store) AppendBatch(recs []Record) (int, error) {
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	if _, err := s.results.Write(buf.Bytes()); err != nil {
-		return 0, fmt.Errorf("store: %w", err)
+	if err := s.write(buf.Bytes()); err != nil {
+		return 0, err
 	}
 	for _, rec := range fresh {
 		s.index[rec.Fingerprint] = len(s.records)

@@ -25,7 +25,7 @@ func groupMetrics(t *testing.T, r *sim.Runner, workloads []bench.Workload, k pol
 	cfg := core.DefaultConfig(2)
 	var stps, antts []float64
 	for _, w := range workloads {
-		res := r.RunWorkload(cfg, w, k, nil)
+		res := r.RunWorkload(cfg, w, k)
 		stps = append(stps, res.STP)
 		antts = append(antts, res.ANTT)
 	}
@@ -89,7 +89,7 @@ func TestClaimMLPAwareFlushFourThreads(t *testing.T) {
 		cfg := core.DefaultConfig(4)
 		var stps, antts []float64
 		for _, w := range ws {
-			res := r.RunWorkload(cfg, w, k, nil)
+			res := r.RunWorkload(cfg, w, k)
 			stps = append(stps, res.STP)
 			antts = append(antts, res.ANTT)
 		}
@@ -147,9 +147,9 @@ func TestClaimMcfGalgelCaseStudy(t *testing.T) {
 	cfg := core.DefaultConfig(2)
 	w := bench.Workload{Benchmarks: []string{"mcf", "galgel"}}
 
-	flush := r.RunWorkload(cfg, w, policy.Flush, nil)
-	mlpflush := r.RunWorkload(cfg, w, policy.MLPFlush, nil)
-	icount := r.RunWorkload(cfg, w, policy.ICount, nil)
+	flush := r.RunWorkload(cfg, w, policy.Flush)
+	mlpflush := r.RunWorkload(cfg, w, policy.MLPFlush)
+	icount := r.RunWorkload(cfg, w, policy.ICount)
 
 	t.Logf("mcf MLP: icount %.2f flush %.2f mlpflush %.2f",
 		icount.Result.MLP[0], flush.Result.MLP[0], mlpflush.Result.MLP[0])

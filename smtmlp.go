@@ -94,13 +94,18 @@ const (
 	MLPFlushAtStall = policy.MLPFlushAtStall
 	// BinaryFlushAtStall is the Section 6.5 alternative (e).
 	BinaryFlushAtStall = policy.BinaryFlushAtStall
+	// Static is ICOUNT under static resource partitioning (Section 6.6).
+	Static = policy.Static
+	// DCRA is ICOUNT under dynamically controlled resource allocation
+	// (Cazorla et al., Section 6.6).
+	DCRA = policy.DynamicAllocation
 )
 
 // Policies returns the six policies of the paper's main evaluation.
 func Policies() []Policy { return policy.Paper() }
 
 // AllPolicies returns every implemented policy, including the Section 6.5
-// alternatives.
+// alternatives and the Section 6.6 partitioning schemes.
 func AllPolicies() []Policy { return policy.Kinds() }
 
 // ParsePolicy resolves a policy's short name (its String form, e.g.
@@ -514,14 +519,7 @@ func (e *Engine) RunSingle(ctx context.Context, cfg Config, benchmark string) (S
 // matched instruction counts (the paper's methodology). References come
 // from the engine's Cache.
 func (e *Engine) RunWorkload(ctx context.Context, cfg Config, w Workload, p Policy) (WorkloadResult, error) {
-	if err := checkWorkload(cfg, w.Benchmarks); err != nil {
-		return WorkloadResult{}, err
-	}
-	res, err := e.runner.RunWorkloadCtx(ctx, cfg, w, p, nil)
-	if err != nil {
-		return WorkloadResult{}, wrapErr(err)
-	}
-	return workloadResult(w, res), nil
+	return e.RunRequest(ctx, Request{Config: cfg, Workload: w, Policy: p})
 }
 
 // RunRequest executes one Request — configuration, workload, policy and
@@ -537,7 +535,7 @@ func (e *Engine) RunRequest(ctx context.Context, req Request) (WorkloadResult, e
 	if every == 0 {
 		every = e.runner.Params.TraceInterval
 	}
-	res, err := e.runner.RunWorkloadTracedCtx(ctx, req.Config, req.Workload, req.Policy, nil, every)
+	res, err := e.runner.RunWorkloadTracedCtx(ctx, req.Config, req.Workload, req.Policy, every)
 	if err != nil {
 		return WorkloadResult{}, wrapErr(err)
 	}

@@ -140,8 +140,8 @@ func TestBatchResultJSONRoundTrip(t *testing.T) {
 // TestParsePolicy pins the public name -> Policy mapping the HTTP surface
 // depends on.
 func TestParsePolicy(t *testing.T) {
-	if len(AllPolicies()) != 9 {
-		t.Fatalf("AllPolicies() has %d entries, want 9", len(AllPolicies()))
+	if len(AllPolicies()) != 11 {
+		t.Fatalf("AllPolicies() has %d entries, want 11", len(AllPolicies()))
 	}
 	for _, p := range AllPolicies() {
 		got, err := ParsePolicy(p.String())
